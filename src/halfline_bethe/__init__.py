@@ -10,8 +10,10 @@ and the one-particle scattering limits.
 
 from .boundary import (
     BoundaryProbe,
+    BoundarySweep,
     DualityReport,
     EigenCheck,
+    boundary_sweep,
     check_eigen,
     check_halfline_reduction,
     check_pair_boundary,
@@ -36,6 +38,7 @@ from .errors import (
     DegenerateMomentaError,
     GeometryError,
     InconsistencyError,
+    InputError,
 )
 from .operators import (
     CoefficientPair,
@@ -63,7 +66,6 @@ from .scattering import (
     SweepResult,
     WallSolution,
     convergence_sweep,
-    finite_wall_amp,
     finite_wall_solution,
     reflection_amp,
 )
@@ -72,7 +74,6 @@ from .wavefunction import (
     Momenta,
     WavefunctionSample,
     compute_coefficients,
-    energy,
     evaluate_psi,
     word_independence_test,
 )

@@ -23,18 +23,21 @@ one-sided condition selected by eps_r:
     delta:  2 dpsi/dx_j = c2 psi   (eps_r = +1),    psi = 0        (eps_r = -1),
     pdp:    dpsi/dx_j = 0          (eps_r = +1),    psi = 2 lam2 dpsi/dx_j  (-1).
 
-Finally, the boson delta table at couplings (c1, c2) equals the fermion pdp
-table at (1/c1, 1/c2), and the two wavefunctions agree pointwise on the
-fundamental wedge; `duality_compare` measures both statements.
+`boundary_sweep` checks these conditions at random facet points of random
+wedges and judges the worst residual.  Finally, the boson delta table at
+couplings (c1, c2) equals the fermion pdp table at (1/c1, 1/c2), and the two
+wavefunctions agree pointwise on the fundamental wedge; `duality_compare`
+measures both statements.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import GeometryError, InputError
 from .operators import MODEL_DELTA, ModelSpec
 from .representations import ScalarSector
 from .wavefunction import (
@@ -48,6 +51,7 @@ from .weyl_group import SignedPermutation, classify_wedge
 DEFAULT_MARGIN = 0.1
 TOL_BOUNDARY = 1e-10
 TOL_DUALITY = 1e-12
+TOL_EIGEN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -71,26 +75,23 @@ def _wedge_frame_point(wedge: SignedPermutation, frame: np.ndarray) -> np.ndarra
     return x
 
 
-def pair_probe(
-    wedge: SignedPermutation, contact: int, rng, margin: float = DEFAULT_MARGIN
-) -> BoundaryProbe:
+def pair_probe(wedge: SignedPermutation, contact: int, rng) -> BoundaryProbe:
     """Random point on the pair-contact facet at `contact` (1-based),
-    keeping all other frame gaps and the wall distance at least `margin`."""
+    keeping all other frame gaps and the wall distance at least
+    DEFAULT_MARGIN."""
     n = wedge.n
     if not 1 <= contact <= n - 1:
         raise GeometryError(f"contact slot {contact} out of range 1..{n - 1}")
-    frame = np.cumsum(margin + rng.uniform(margin, 1.0, size=n))
+    frame = np.cumsum(DEFAULT_MARGIN + rng.uniform(DEFAULT_MARGIN, 1.0, size=n))
     frame[contact] = frame[contact - 1]
     return BoundaryProbe(
         "pair", wedge, contact, tuple(_wedge_frame_point(wedge, frame))
     )
 
 
-def wall_probe(
-    wedge: SignedPermutation, rng, margin: float = DEFAULT_MARGIN
-) -> BoundaryProbe:
+def wall_probe(wedge: SignedPermutation, rng) -> BoundaryProbe:
     """Random point on the wall facet of the wedge (first frame coordinate 0)."""
-    frame = np.cumsum(margin + rng.uniform(margin, 1.0, size=wedge.n))
+    frame = np.cumsum(DEFAULT_MARGIN + rng.uniform(DEFAULT_MARGIN, 1.0, size=wedge.n))
     frame -= frame[0]
     return BoundaryProbe("wall", wedge, None, tuple(_wedge_frame_point(wedge, frame)))
 
@@ -190,12 +191,68 @@ def check_halfline_reduction(coeffs: BetheCoefficients, x) -> tuple[float, ...]:
 
 
 @dataclass(frozen=True)
+class BoundarySweep:
+    """Rows of a facet-probe sweep and their worst residual.  A row holds
+    kind ("pair", "wall" or "origin"), contact, wedge_index and either
+    residual_match and residual_jump or, for a rejected probe, error."""
+
+    rows: tuple[dict, ...]
+    max_residual: float
+    geometry_errors: int
+
+    def within(self, tol: float = TOL_BOUNDARY) -> bool:
+        return bool(self.max_residual <= tol and self.geometry_errors == 0)
+
+
+def _probe_row(coeffs: BetheCoefficients, contact: int | None, rng) -> dict:
+    """Check a random point on the pair facet at `contact` (the wall facet
+    when contact is None) of a random wedge."""
+    index = int(rng.integers(0, coeffs.group.order))
+    wedge = coeffs.group.elements[index]
+    row = {"kind": "wall" if contact is None else "pair", "contact": contact,
+           "wedge_index": index}
+    try:
+        if contact is None:
+            residuals = check_wall_boundary(coeffs, wall_probe(wedge, rng))
+        else:
+            residuals = check_pair_boundary(coeffs, pair_probe(wedge, contact, rng))
+    except GeometryError as exc:
+        row["error"] = str(exc)
+    else:
+        row["residual_match"], row["residual_jump"] = residuals
+    return row
+
+
+def boundary_sweep(coeffs: BetheCoefficients, probes: int, rng) -> BoundarySweep:
+    """`probes` pair probes per contact slot, then `probes` wall probes,
+    then in a scalar sector one probe of the half-line reduction, all drawn
+    from `rng` in that order.  A NaN residual makes max_residual NaN."""
+    if probes < 1:
+        raise InputError("probes must be at least 1")
+    n = coeffs.momenta.n
+    rows = [_probe_row(coeffs, contact, rng)
+            for contact in [*range(1, n), None] for _ in range(probes)]
+    if isinstance(coeffs.rep, ScalarSector):
+        base = np.cumsum(0.3 + rng.uniform(0.2, 1.0, size=n))
+        residuals = check_halfline_reduction(coeffs, base)
+        rows.append({"kind": "origin", "contact": None, "wedge_index": None,
+                     "residual_match": float(np.max(residuals)), "residual_jump": 0.0})
+    residuals = [row[key] for row in rows
+                 for key in ("residual_match", "residual_jump") if key in row]
+    errors = sum("error" in row for row in rows)
+    return BoundarySweep(tuple(rows), float(np.max(residuals, initial=0.0)), errors)
+
+
+@dataclass(frozen=True)
 class EigenCheck:
     h: float
     residual: float
     relative: float
     energy: float
     value: complex
+
+    def within(self, tol: float = TOL_EIGEN) -> bool:
+        return bool(self.relative <= tol)
 
 
 def check_eigen(coeffs: BetheCoefficients, x, h: float) -> EigenCheck:
@@ -205,8 +262,8 @@ def check_eigen(coeffs: BetheCoefficients, x, h: float) -> EigenCheck:
     the expansion changes) raises GeometryError.
     """
     x = np.asarray(x, dtype=float)
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise InputError("step h must be finite and positive")
     wedge = classify_wedge(x)
     centre = evaluate_psi(coeffs, x, wedge=wedge)
     laplacian = 0j
@@ -248,8 +305,12 @@ def duality_compare(momenta, c1: float, c2: float, points) -> DualityReport:
 
     Compares the coefficient tables entrywise and the wavefunctions at the
     given fundamental-wedge points (coordinates strictly increasing and
-    positive; anything else raises GeometryError).
+    positive; anything else raises GeometryError).  An empty point list
+    raises InputError.
     """
+    points = [np.asarray(point, dtype=float) for point in points]
+    if not points:
+        raise InputError("duality needs at least one point")
     momenta = momenta if isinstance(momenta, Momenta) else Momenta(tuple(momenta))
     n = momenta.n
     boson = compute_coefficients(
@@ -265,9 +326,7 @@ def duality_compare(momenta, c1: float, c2: float, points) -> DualityReport:
     table_diff = float(np.max(np.abs(boson.table - fermion.table)))
     identity = SignedPermutation.identity(n)
     point_diff = 0.0
-    count = 0
     for point in points:
-        point = np.asarray(point, dtype=float)
         if np.any(point <= 0) or np.any(np.diff(point) <= 0):
             raise GeometryError(
                 "duality points must have strictly increasing positive coordinates"
@@ -275,5 +334,4 @@ def duality_compare(momenta, c1: float, c2: float, points) -> DualityReport:
         a = evaluate_psi(boson, point, wedge=identity)
         b = evaluate_psi(fermion, point, wedge=identity)
         point_diff = max(point_diff, abs(a.value - b.value))
-        count += 1
-    return DualityReport(table_diff, float(point_diff), count)
+    return DualityReport(table_diff, float(point_diff), len(points))

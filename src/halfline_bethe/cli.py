@@ -10,6 +10,10 @@ violated, 2 bad usage.
 Structured reports are JSON; sweep tables are comma-delimited text.  With
 --out the document goes to that path (relative names resolve against
 $HALFLINE_BETHE_OUTDIR if set), otherwise to stdout.
+
+`main` runs every subcommand: an InputError is a usage error, an
+InconsistencyError the witness document; other errors propagate.  Handlers
+call the library and render; every verdict comes from a library object.
 """
 
 from __future__ import annotations
@@ -18,22 +22,23 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .boundary import (
+    TOL_BOUNDARY,
+    TOL_DUALITY,
+    TOL_EIGEN,
+    boundary_sweep,
     check_eigen,
-    check_halfline_reduction,
-    check_pair_boundary,
-    check_wall_boundary,
     duality_compare,
-    pair_probe,
-    wall_probe,
 )
 from .consistency import consistency_report
-from .errors import GeometryError, InconsistencyError
+from .errors import InconsistencyError, InputError
 from .operators import MODEL_DELTA, MODEL_PDP, ModelSpec
 from .representations import (
+    RegularRep,
     ScalarSector,
     dimension_sum_check,
     orbit_representatives,
@@ -41,8 +46,8 @@ from .representations import (
     stabilizer_order,
 )
 from .scattering import convergence_sweep
-from .wavefunction import Momenta, compute_coefficients
-from .weyl_group import MAX_PARTICLES, weyl_group
+from .wavefunction import BetheCoefficients, Momenta, compute_coefficients
+from .weyl_group import MAX_PARTICLES
 
 SCHEMA_VERSION = 1
 OUTDIR_ENV = "HALFLINE_BETHE_OUTDIR"
@@ -51,21 +56,23 @@ SECTORS = {"++": (1, 1), "+-": (1, -1), "-+": (-1, 1), "--": (-1, -1)}
 # argparse cannot pass "--" or "-+" as values, so letters work too: p=+1, m=-1
 SECTORS.update({"pp": (1, 1), "pm": (1, -1), "mp": (-1, 1), "mm": (-1, -1)})
 
+# Flags echoed into the config of each subcommand that has them, and the
+# keys that differ from the flag's name.
+ECHOED_FLAGS = ("N", "samples", "probes", "points", "h", "seed", "tol", "format")
+ECHO_KEYS = {"N": "n_particles", "tol": "tolerance"}
 
-def _write_output(text: str, out: str | None) -> int:
+
+def _write_output(text: str, out: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-        return 0
+        return
     outdir = os.environ.get(OUTDIR_ENV)
     path = out if (os.path.isabs(out) or outdir is None) else os.path.join(outdir, out)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
-        if not text.endswith("\n"):
-            handle.write("\n")
     print(f"wrote {path}")
-    return 0
 
 
 def _scalar(obj):
@@ -78,47 +85,19 @@ def _scalar(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _json_doc(command: str, config: dict, body: dict) -> str:
-    doc = {"schema_version": SCHEMA_VERSION, "command": command, "config": config}
-    doc.update(body)
-    return json.dumps(doc, indent=2, sort_keys=True, default=_scalar)
+def _echo_line(config: dict) -> str:
+    return " ".join(f"{key}={value}" for key, value in sorted(config.items()))
 
 
-def _model_from_args(args) -> ModelSpec:
-    if args.model == MODEL_DELTA:
-        return ModelSpec(MODEL_DELTA, args.c1, args.c2)
-    return ModelSpec(MODEL_PDP, args.lambda1, args.lambda2)
-
-
-def _rep_from_args(args, parser):
-    if args.rep == "regular":
-        return regular_rep(args.N)
-    sector = args.sector if isinstance(args.sector, str) else ""
-    if sector not in SECTORS:
-        parser.error(
-            f"unknown sector {args.sector!r}; use ++/+-/-+/-- or pp/pm/mp/mm"
-        )
-    eps_t, eps_r = SECTORS[sector]
-    return ScalarSector(args.N, eps_t, eps_r)
-
-
-def _check_n(args, parser):
-    if not 1 <= args.N <= MAX_PARTICLES:
-        parser.error(f"--N must lie in 1..{MAX_PARTICLES}")
-
-
-def _parse_momenta(args, parser) -> Momenta:
+def _parse_momenta(args) -> Momenta:
     if args.k is not None:
         try:
             values = tuple(float(part) for part in args.k.split(","))
         except ValueError:
-            parser.error(f"could not parse --k {args.k!r}")
+            raise InputError(f"could not parse --k {args.k!r}") from None
         if len(values) != args.N:
-            parser.error(f"--k needs {args.N} comma-separated values")
-        try:
-            return Momenta(values)
-        except ValueError as exc:
-            parser.error(str(exc))
+            raise InputError(f"--k needs {args.N} comma-separated values")
+        return Momenta(values)
     rng = np.random.default_rng(args.seed)
     for _ in range(100):
         draw = np.sort(rng.uniform(0.5, 0.5 + args.N, size=args.N))
@@ -126,90 +105,78 @@ def _parse_momenta(args, parser) -> Momenta:
             return Momenta(tuple(draw))
         except ValueError:
             continue
-    parser.error("failed to draw generic momenta")
+    raise InputError("failed to draw generic momenta")
 
 
-def _model_config(model: ModelSpec) -> dict:
-    return {
-        "model": model.kind,
-        "pair_coupling": model.pair_coupling,
-        "wall_coupling": model.wall_coupling,
-    }
+@dataclass
+class _Run:
+    """One subcommand's validated inputs and its configuration echo."""
+
+    command: str
+    config: dict = field(default_factory=dict)
+    model: ModelSpec | None = None
+    rep: ScalarSector | RegularRep | None = None
+    momenta: Momenta | None = None
+    coeffs: BetheCoefficients | None = None
+
+    def document(self, body: dict) -> str:
+        doc = {"schema_version": SCHEMA_VERSION, "command": self.command,
+               "config": self.config, **body}
+        return json.dumps(doc, indent=2, sort_keys=True, default=_scalar)
 
 
-def _inconsistency_body(exc: InconsistencyError) -> dict:
-    return {
-        "error": {
-            "type": "inconsistency",
-            "element": {
-                "signs": list(exc.element.signs),
-                "perm": list(exc.element.perm),
-            },
-            "existing_word": list(exc.existing_word),
-            "conflicting_word": list(exc.new_word),
-            "residual": exc.residual,
-        }
-    }
+def _prepare(args) -> _Run:
+    """The model and representation if the subcommand has --rep, the momenta
+    if it has --N and --k (scatter's --k is one wavenumber), all echoed with
+    the flags; InputError if a value is bad."""
+    run = _Run(f"verify-{args.check}" if args.command == "verify" else args.command)
+    has_momenta = hasattr(args, "k") and hasattr(args, "N")
+    if (hasattr(args, "rep") or has_momenta) and not 1 <= args.N <= MAX_PARTICLES:
+        raise InputError(f"--N must lie in 1..{MAX_PARTICLES}")
+    if hasattr(args, "rep"):
+        if args.model == MODEL_DELTA:
+            run.model = ModelSpec(MODEL_DELTA, args.c1, args.c2)
+        else:
+            run.model = ModelSpec(MODEL_PDP, args.lambda1, args.lambda2)
+        if args.rep == "regular":
+            run.rep = regular_rep(args.N)
+        else:
+            run.rep = ScalarSector(args.N, *SECTORS[args.sector])
+        run.config.update(
+            model=run.model.kind,
+            pair_coupling=run.model.pair_coupling,
+            wall_coupling=run.model.wall_coupling,
+            representation=run.rep.label,
+        )
+    if has_momenta:
+        run.momenta = _parse_momenta(args)
+        run.config["momenta"] = list(run.momenta.values)
+    for flag in ECHOED_FLAGS:
+        if hasattr(args, flag):
+            run.config[ECHO_KEYS.get(flag, flag)] = getattr(args, flag)
+    return run
 
 
-def cmd_consistency(args, parser) -> int:
-    _check_n(args, parser)
-    model = _model_from_args(args)
-    rep = _rep_from_args(args, parser)
+def cmd_consistency(args, run: _Run) -> tuple[str, bool]:
     report = consistency_report(
-        model, rep, samples=args.samples, seed=args.seed, tol=args.tol
+        run.model, run.rep, samples=args.samples, seed=args.seed, tol=args.tol
     )
-    config = {
-        **_model_config(model),
-        "n_particles": args.N,
-        "representation": rep.label,
-        "samples": args.samples,
-        "seed": args.seed,
-        "tolerance": args.tol,
-    }
-    text = _json_doc("consistency", config, report.to_dict())
-    _write_output(text, args.out)
-    return 0 if report.overall_ok else 1
+    return run.document(report.to_dict()), report.overall_ok
 
 
-def cmd_build(args, parser) -> int:
-    _check_n(args, parser)
-    model = _model_from_args(args)
-    rep = _rep_from_args(args, parser)
-    momenta = _parse_momenta(args, parser)
-    config = {
-        **_model_config(model),
-        "n_particles": args.N,
-        "representation": rep.label,
-        "momenta": list(momenta.values),
-        "seed": args.seed,
-        "format": args.format,
-    }
-    try:
-        coeffs = compute_coefficients(momenta, model, rep)
-    except InconsistencyError as exc:
-        _write_output(_json_doc("build", config, _inconsistency_body(exc)), args.out)
-        return 1
-
+def cmd_build(args, run: _Run) -> tuple[str, bool]:
+    coeffs = run.coeffs
     group = coeffs.group
     if args.format == "csv":
+        sector = coeffs.table.shape[1] == 1
         lines = [f"# schema_version={SCHEMA_VERSION}", "# command=build"]
-        lines.append(
-            "# "
-            + " ".join(f"{key}={value}" for key, value in sorted(config.items()))
-        )
-        if coeffs.table.shape[1] == 1:
-            lines.append("p_index,re,im")
-            for i in range(group.order):
-                value = complex(coeffs.table[i, 0])
-                lines.append(f"{i},{value.real!r},{value.imag!r}")
-        else:
-            lines.append("p_index,q_index,re,im")
-            for i in range(group.order):
-                for j in range(group.order):
-                    value = complex(coeffs.table[i, j])
-                    lines.append(f"{i},{j},{value.real!r},{value.imag!r}")
-        return _write_output("\n".join(lines), args.out)
+        lines.append("# " + _echo_line(run.config))
+        lines.append("p_index,re,im" if sector else "p_index,q_index,re,im")
+        for (i, j), value in np.ndenumerate(coeffs.table):
+            index = f"{i}" if sector else f"{i},{j}"
+            value = complex(value)
+            lines.append(f"{index},{value.real!r},{value.imag!r}")
+        return "\n".join(lines), True
 
     elements = []
     for i, element in enumerate(group.elements):
@@ -227,147 +194,46 @@ def cmd_build(args, parser) -> int:
         )
     body = {
         "group_order": group.order,
-        "energy": momenta.energy,
+        "energy": run.momenta.energy,
         "max_crosscheck": coeffs.max_crosscheck,
         "elements": elements,
     }
-    _write_output(_json_doc("build", config, body), args.out)
-    return 0
+    return run.document(body), True
 
 
-def cmd_verify_boundary(args, parser) -> int:
-    _check_n(args, parser)
-    model = _model_from_args(args)
-    rep = _rep_from_args(args, parser)
-    momenta = _parse_momenta(args, parser)
-    config = {
-        **_model_config(model),
-        "n_particles": args.N,
-        "representation": rep.label,
-        "momenta": list(momenta.values),
-        "probes": args.probes,
-        "seed": args.seed,
-        "tolerance": args.tol,
+def cmd_verify_boundary(args, run: _Run) -> tuple[str, bool]:
+    sweep = boundary_sweep(run.coeffs, args.probes, np.random.default_rng(args.seed))
+    ok = sweep.within(args.tol)
+    body = {
+        "ok": ok,
+        "max_residual": sweep.max_residual,
+        "geometry_errors": sweep.geometry_errors,
+        "rows": list(sweep.rows),
     }
-    try:
-        coeffs = compute_coefficients(momenta, model, rep)
-    except InconsistencyError as exc:
-        _write_output(
-            _json_doc("verify-boundary", config, _inconsistency_body(exc)), args.out
-        )
-        return 1
-    group = weyl_group(args.N)
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    worst = 0.0
-    errors = 0
-    for contact in range(1, args.N):
-        for _ in range(args.probes):
-            wedge = group.elements[int(rng.integers(0, group.order))]
-            row = {
-                "kind": "pair",
-                "contact": contact,
-                "wedge_index": group.index_of(wedge),
-            }
-            try:
-                probe = pair_probe(wedge, contact, rng)
-                r_match, r_jump = check_pair_boundary(coeffs, probe)
-            except GeometryError as exc:
-                errors += 1
-                row["error"] = str(exc)
-            else:
-                worst = max(worst, r_match, r_jump)
-                row["residual_match"] = r_match
-                row["residual_jump"] = r_jump
-            rows.append(row)
-    for _ in range(args.probes):
-        wedge = group.elements[int(rng.integers(0, group.order))]
-        row = {"kind": "wall", "contact": None, "wedge_index": group.index_of(wedge)}
-        try:
-            probe = wall_probe(wedge, rng)
-            r_match, r_jump = check_wall_boundary(coeffs, probe)
-        except GeometryError as exc:
-            errors += 1
-            row["error"] = str(exc)
-        else:
-            worst = max(worst, r_match, r_jump)
-            row["residual_match"] = r_match
-            row["residual_jump"] = r_jump
-        rows.append(row)
-    if isinstance(rep, ScalarSector):
-        base = np.cumsum(0.3 + rng.uniform(0.2, 1.0, size=args.N))
-        row = {"kind": "origin", "contact": None, "wedge_index": None}
-        try:
-            residuals = check_halfline_reduction(coeffs, base)
-        except GeometryError as exc:
-            errors += 1
-            row["error"] = str(exc)
-        else:
-            worst = max(worst, *residuals)
-            row["residual_match"] = max(residuals)
-            row["residual_jump"] = 0.0
-        rows.append(row)
-    ok = bool(worst <= args.tol and errors == 0)
-    body = {"ok": ok, "max_residual": worst, "geometry_errors": errors, "rows": rows}
-    _write_output(_json_doc("verify-boundary", config, body), args.out)
-    return 0 if ok else 1
+    return run.document(body), ok
 
 
-def cmd_verify_duality(args, parser) -> int:
-    _check_n(args, parser)
-    momenta = _parse_momenta(args, parser)
+def cmd_verify_duality(args, run: _Run) -> tuple[str, bool]:
     rng = np.random.default_rng(args.seed)
     points = [
         np.cumsum(0.1 + rng.uniform(0.0, 1.0, size=args.N)) for _ in range(args.points)
     ]
-    report = duality_compare(momenta, args.c1, args.c2, points)
-    ok = bool(report.within(args.tol))
-    config = {
-        "c1": args.c1,
-        "c2": args.c2,
-        "n_particles": args.N,
-        "momenta": list(momenta.values),
-        "points": args.points,
-        "seed": args.seed,
-        "tolerance": args.tol,
-    }
+    run.config.update(c1=args.c1, c2=args.c2)
+    report = duality_compare(run.momenta, args.c1, args.c2, points)
+    ok = report.within(args.tol)
     body = {
         "ok": ok,
         "max_table_diff": report.max_table_diff,
         "max_point_diff": report.max_point_diff,
     }
-    _write_output(_json_doc("verify-duality", config, body), args.out)
-    return 0 if ok else 1
+    return run.document(body), ok
 
 
-def cmd_verify_eigen(args, parser) -> int:
-    _check_n(args, parser)
-    model = _model_from_args(args)
-    rep = _rep_from_args(args, parser)
-    momenta = _parse_momenta(args, parser)
-    config = {
-        **_model_config(model),
-        "n_particles": args.N,
-        "representation": rep.label,
-        "momenta": list(momenta.values),
-        "h": args.h,
-        "seed": args.seed,
-        "tolerance": args.tol,
-    }
-    try:
-        coeffs = compute_coefficients(momenta, model, rep)
-    except InconsistencyError as exc:
-        _write_output(
-            _json_doc("verify-eigen", config, _inconsistency_body(exc)), args.out
-        )
-        return 1
+def cmd_verify_eigen(args, run: _Run) -> tuple[str, bool]:
     rng = np.random.default_rng(args.seed)
     point = np.cumsum(0.3 + rng.uniform(0.2, 1.0, size=args.N))
-    try:
-        result = check_eigen(coeffs, point, args.h)
-    except GeometryError as exc:
-        parser.error(str(exc))
-    ok = bool(result.relative <= args.tol)
+    result = check_eigen(run.coeffs, point, args.h)
+    ok = result.within(args.tol)
     body = {
         "ok": ok,
         "energy": result.energy,
@@ -375,25 +241,24 @@ def cmd_verify_eigen(args, parser) -> int:
         "residual": result.residual,
         "relative_residual": result.relative,
     }
-    _write_output(_json_doc("verify-eigen", config, body), args.out)
-    return 0 if ok else 1
+    return run.document(body), ok
 
 
-def cmd_scatter(args, parser) -> int:
+def cmd_scatter(args, run: _Run) -> tuple[str, bool]:
     try:
         start, stop, count = args.v0.split(":")
         grid = np.logspace(
             np.log10(float(start)), np.log10(float(stop)), int(count)
         )
     except ValueError:
-        parser.error(f"could not parse --v0 {args.v0!r}; expected start:stop:count")
+        raise InputError(
+            f"could not parse --v0 {args.v0!r}; expected start:stop:count"
+        ) from None
     coupling = args.c if args.model == MODEL_DELTA else getattr(args, "lambda")
-    try:
-        sweep = convergence_sweep(args.model, args.parity, args.k, coupling, grid)
-    except ValueError as exc:
-        parser.error(str(exc))
-    ok = bool(abs(sweep.slope + 0.5) <= 0.05)
-    config = {
+    sweep = convergence_sweep(args.model, args.parity, args.k, coupling, grid)
+    ok = sweep.within()
+    # scatter echoes its own flags instead of the shared configuration
+    run.config = {
         "model": args.model,
         "parity": args.parity,
         "k": args.k,
@@ -414,29 +279,21 @@ def cmd_scatter(args, parser) -> int:
                 for v0, amp, dev in zip(sweep.v0, sweep.amplitudes, sweep.deviations)
             ],
         }
-        _write_output(_json_doc("scatter", config, body), args.out)
-        return 0 if ok else 1
+        return run.document(body), ok
     lines = [
         f"# schema_version={SCHEMA_VERSION}",
-        "# command=scatter "
-        + " ".join(f"{key}={value}" for key, value in sorted(config.items())),
+        "# command=scatter " + _echo_line(run.config),
         f"# limit_re={sweep.limit.real!r} limit_im={sweep.limit.imag!r}",
         "v0,re_b,im_b,abs_dev",
     ]
     for v0, amp, dev in zip(sweep.v0, sweep.amplitudes, sweep.deviations):
         lines.append(f"{v0!r},{amp.real!r},{amp.imag!r},{dev!r}")
     lines.append(f"# fitted_slope={sweep.slope!r}")
-    _write_output("\n".join(lines), args.out)
-    return 0 if ok else 1
+    return "\n".join(lines), ok
 
 
-def cmd_reps(args, parser) -> int:
-    if args.N < 1:
-        parser.error("--N must be at least 1")
-    try:
-        report = dimension_sum_check(args.N)
-    except ValueError as exc:
-        parser.error(str(exc))
+def cmd_reps(args, run: _Run) -> tuple[str, bool]:
+    report = dimension_sum_check(args.N)
     orbits = [
         {
             "flips": character.flips,
@@ -460,8 +317,28 @@ def cmd_reps(args, parser) -> int:
             for descriptor in report.irreps
         ],
     }
-    _write_output(_json_doc("reps", {"n_particles": args.N}, body), args.out)
-    return 0 if report.ok else 1
+    return run.document(body), report.ok
+
+
+# Flags several subcommands share; a subcommand that needs another default
+# sets it with set_defaults.
+SHARED_FLAGS = {
+    "N": {"type": int, "default": 2},
+    "k": {"default": None, "help": "comma-separated momenta"},
+    "seed": {"type": int, "default": 0},
+    "tol": {"type": float, "default": None,
+            "help": "residual bound for a pass (relative for verify eigen)"},
+    "out": {"default": None},
+}
+
+
+def _add_shared(sub, *names):
+    """Add shared flags in the order named; "model" adds the model flags."""
+    for name in names:
+        if name == "model":
+            _add_model_flags(sub)
+        else:
+            sub.add_argument(f"--{name}", **SHARED_FLAGS[name])
 
 
 def _add_model_flags(sub):
@@ -470,19 +347,19 @@ def _add_model_flags(sub):
     sub.add_argument("--c2", type=float, default=2.0, help="delta wall coupling")
     sub.add_argument("--lambda1", type=float, default=1.0, help="pdp pair coupling")
     sub.add_argument("--lambda2", type=float, default=0.5, help="pdp wall coupling")
-
-
-def _add_rep_flags(sub):
     sub.add_argument("--rep", choices=("regular", "sector"), default="sector")
     sub.add_argument(
         "--sector",
         default="++",
+        choices=tuple(SECTORS),
+        metavar="SECTOR",
         help="scalar sector signs (transposition, reflection): ++ +- -+ -- "
         "or pp pm mp mm (letters avoid argparse trouble with leading dashes)",
     )
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Subcommands, each with its handler."""
     parser = argparse.ArgumentParser(
         prog="halfline-bethe",
         description="Consistency and boundary verification for half-line contact models",
@@ -490,55 +367,40 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     con = commands.add_parser("consistency", help="operator and coefficient identities")
-    _add_model_flags(con)
-    _add_rep_flags(con)
-    con.add_argument("--N", type=int, default=3)
+    _add_shared(con, "model", "N")
     con.add_argument("--samples", type=int, default=200)
-    con.add_argument("--seed", type=int, default=0)
-    con.add_argument("--tol", type=float, default=None)
-    con.add_argument("--out", default=None)
+    _add_shared(con, "seed", "tol", "out")
+    con.set_defaults(handler=cmd_consistency, N=3)
 
     build = commands.add_parser("build", help="coefficient table for given momenta")
-    _add_model_flags(build)
-    _add_rep_flags(build)
-    build.add_argument("--N", type=int, default=2)
-    build.add_argument("--k", default=None, help="comma-separated momenta")
-    build.add_argument("--seed", type=int, default=0)
+    _add_shared(build, "model", "N", "k", "seed")
     build.add_argument("--format", choices=("json", "csv"), default="json")
-    build.add_argument("--out", default=None)
+    _add_shared(build, "out")
+    build.set_defaults(handler=cmd_build)
 
     verify = commands.add_parser("verify", help="boundary, duality, eigenvalue checks")
     checks = verify.add_subparsers(dest="check", required=True)
 
     vb = checks.add_parser("boundary", help="facet matching conditions")
-    _add_model_flags(vb)
-    _add_rep_flags(vb)
-    vb.add_argument("--N", type=int, default=2)
-    vb.add_argument("--k", default=None)
+    _add_shared(vb, "model", "N", "k")
     vb.add_argument("--probes", type=int, default=20)
-    vb.add_argument("--seed", type=int, default=0)
-    vb.add_argument("--tol", type=float, default=1e-10)
-    vb.add_argument("--out", default=None)
+    _add_shared(vb, "seed", "tol", "out")
+    vb.set_defaults(handler=cmd_verify_boundary, tol=TOL_BOUNDARY)
 
     vd = checks.add_parser("duality", help="boson delta vs fermion pdp")
-    vd.add_argument("--N", type=int, default=2)
+    _add_shared(vd, "N")
     vd.add_argument("--c1", type=float, default=1.0)
     vd.add_argument("--c2", type=float, default=2.0)
-    vd.add_argument("--k", default=None)
+    _add_shared(vd, "k")
     vd.add_argument("--points", type=int, default=20)
-    vd.add_argument("--seed", type=int, default=0)
-    vd.add_argument("--tol", type=float, default=1e-12)
-    vd.add_argument("--out", default=None)
+    _add_shared(vd, "seed", "tol", "out")
+    vd.set_defaults(handler=cmd_verify_duality, tol=TOL_DUALITY)
 
     ve = checks.add_parser("eigen", help="finite-difference eigenvalue residual")
-    _add_model_flags(ve)
-    _add_rep_flags(ve)
-    ve.add_argument("--N", type=int, default=2)
-    ve.add_argument("--k", default=None)
+    _add_shared(ve, "model", "N", "k")
     ve.add_argument("--h", type=float, default=1e-4)
-    ve.add_argument("--seed", type=int, default=0)
-    ve.add_argument("--tol", type=float, default=1e-6, help="relative residual bound")
-    ve.add_argument("--out", default=None)
+    _add_shared(ve, "seed", "tol", "out")
+    ve.set_defaults(handler=cmd_verify_eigen, tol=TOL_EIGEN)
 
     scat = commands.add_parser("scatter", help="finite-wall convergence sweep")
     scat.add_argument("--model", choices=(MODEL_DELTA, MODEL_PDP), default=MODEL_DELTA)
@@ -548,32 +410,29 @@ def build_parser() -> argparse.ArgumentParser:
     scat.add_argument("--lambda", type=float, default=0.5, help="pdp wall coupling")
     scat.add_argument("--v0", default="1e3:1e9:7", help="grid start:stop:count")
     scat.add_argument("--format", choices=("csv", "json"), default="csv")
-    scat.add_argument("--out", default=None)
+    _add_shared(scat, "out")
+    scat.set_defaults(handler=cmd_scatter)
 
     reps = commands.add_parser("reps", help="irreducible representation inventory")
-    reps.add_argument("--N", type=int, default=3)
-    reps.add_argument("--out", default=None)
-
+    _add_shared(reps, "N", "out")
+    reps.set_defaults(handler=cmd_reps, N=3)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "consistency": cmd_consistency,
-        "build": cmd_build,
-        "scatter": cmd_scatter,
-        "reps": cmd_reps,
-    }
-    if args.command == "verify":
-        handlers = {
-            "boundary": cmd_verify_boundary,
-            "duality": cmd_verify_duality,
-            "eigen": cmd_verify_eigen,
-        }
-        return handlers[args.check](args, parser)
-    return handlers[args.command](args, parser)
+    try:
+        run = _prepare(args)
+        if run.model is not None and run.momenta is not None:
+            run.coeffs = compute_coefficients(run.momenta, run.model, run.rep)
+        text, ok = args.handler(args, run)
+    except InputError as exc:
+        parser.error(str(exc))
+    except InconsistencyError as exc:
+        text, ok = run.document({"error": exc.to_dict()}), False
+    _write_output(text, args.out)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

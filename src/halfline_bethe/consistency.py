@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InputError
 from .operators import (
     ModelSpec,
     RepOperator,
@@ -337,7 +338,9 @@ def consistency_report(
     tol: float | None = None,
 ) -> ConsistencyReport:
     """Residuals of every applicable relation over seeded (u, v) samples,
-    judged against the model's expected outcomes."""
+    judged against the model's expected outcomes; no samples is an InputError."""
+    if samples < 1:
+        raise InputError("samples must be at least 1")
     tol = default_tolerance(rep) if tol is None else tol
     rng = np.random.default_rng(seed)
     op_summaries = {

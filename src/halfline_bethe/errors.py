@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 
-class CapacityError(ValueError):
+class InputError(ValueError):
+    """An argument lies outside the domain the computation accepts."""
+
+
+class CapacityError(InputError):
     """Particle number exceeds the configured maximum group size."""
 
 
-class DegenerateMomentaError(ValueError):
+class DegenerateMomentaError(InputError):
     """Momenta are not pairwise generic (some k_j = 0 or |k_i| = |k_j|)."""
 
 
@@ -15,7 +19,7 @@ class BoundaryPointError(ValueError):
     """Point lies on a wedge boundary, so its wedge label is ambiguous."""
 
 
-class GeometryError(ValueError):
+class GeometryError(InputError):
     """Probe point or finite-difference stencil violates a geometric precondition."""
 
 
@@ -38,3 +42,15 @@ class InconsistencyError(Exception):
             f"word {' '.join(self.existing_word) or '<identity>'} vs "
             f"word {' '.join(self.new_word) or '<identity>'}"
         )
+
+    def to_dict(self) -> dict:
+        return {
+            "type": "inconsistency",
+            "element": {
+                "signs": list(self.element.signs),
+                "perm": list(self.element.perm),
+            },
+            "existing_word": list(self.existing_word),
+            "conflicting_word": list(self.new_word),
+            "residual": self.residual,
+        }

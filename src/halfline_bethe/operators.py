@@ -25,10 +25,12 @@ lazily, so nothing here ever materializes a dense matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .representations import RegularRep, ScalarSector
 
 MODEL_DELTA = "delta"
@@ -40,7 +42,7 @@ class ModelSpec:
     """Which interaction ("delta" or "pdp") with its two couplings.
 
     pair_coupling is c1 (delta) or lam1 (pdp); wall_coupling is c2 or lam2.
-    Both must be strictly positive.
+    Both must be finite and strictly positive.
     """
 
     kind: str
@@ -49,9 +51,10 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.kind not in (MODEL_DELTA, MODEL_PDP):
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if not self.pair_coupling > 0 or not self.wall_coupling > 0:
-            raise ValueError("couplings must be strictly positive")
+            raise InputError(f"unknown model kind {self.kind!r}")
+        for coupling in (self.pair_coupling, self.wall_coupling):
+            if not (math.isfinite(coupling) and coupling > 0):
+                raise InputError("couplings must be finite and strictly positive")
 
 
 @dataclass(frozen=True)
@@ -175,9 +178,3 @@ def apply_chain(ops, v) -> np.ndarray:
     for op in reversed(ops):
         v = op.apply(v)
     return v
-
-
-def dense_product(ops, dim: int) -> np.ndarray:
-    """Matrix of an operator product, column by column.  Test and report
-    helper; the hot paths stay on apply_chain."""
-    return apply_chain(ops, np.eye(dim, dtype=complex))

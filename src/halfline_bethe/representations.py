@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .weyl_group import SignedPermutation, WeylGroup, weyl_group
 
 
@@ -69,9 +70,6 @@ class ScalarSector:
 
     def value(self, g: SignedPermutation) -> int:
         return one_dim_rep(self.eps_t, self.eps_r, g)
-
-    def generator_value(self, letter: str) -> int:
-        return self.eps_r if letter == "R1" else self.eps_t
 
     @property
     def label(self) -> str:
@@ -244,8 +242,8 @@ class DimensionSumReport:
 
 def dimension_sum_check(n: int, max_n: int = 6) -> DimensionSumReport:
     """Verify that the squared induced dimensions sum to 2^n n!."""
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds maximum {max_n}")
+    if not 1 <= n <= max_n:
+        raise InputError(f"n={n} must lie in 1..{max_n}")
     inventory = irrep_inventory(n)
     total = sum(d.dimension**2 for d in inventory)
     return DimensionSumReport(

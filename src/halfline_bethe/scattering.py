@@ -32,21 +32,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .operators import MODEL_DELTA, MODEL_PDP
 
 PARITY_EVEN = "even"
 PARITY_ODD = "odd"
 
+EXPECTED_SLOPE = -0.5
+SLOPE_TOL = 0.05
+
 
 def _validate(kind: str, parity: str, k: float, coupling: float):
     if kind not in (MODEL_DELTA, MODEL_PDP):
-        raise ValueError(f"unknown model kind {kind!r}")
+        raise InputError(f"unknown model kind {kind!r}")
     if parity not in (PARITY_EVEN, PARITY_ODD):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    if not k > 0:
-        raise ValueError("momentum k must be positive")
-    if not coupling > 0:
-        raise ValueError("coupling must be positive")
+        raise InputError(f"parity must be 'even' or 'odd', got {parity!r}")
+    if not all(math.isfinite(value) and value > 0 for value in (k, coupling)):
+        raise InputError(f"k={k} and coupling={coupling} must be finite and positive")
 
 
 def reflection_amp(kind: str, parity: str, k: float, coupling: float) -> complex:
@@ -89,8 +91,8 @@ def finite_wall_solution(
     reproduces the exact amplitudes as v0 grows.
     """
     _validate(kind, parity, k, coupling)
-    if v0 <= k * k:
-        raise ValueError(f"wall height v0={v0} must exceed k^2={k * k}")
+    if not (math.isfinite(v0) and v0 > k * k):
+        raise InputError(f"wall height v0={v0} must be finite and exceed k^2={k * k}")
     ik = 1j * k
     omega = math.sqrt(v0 - k * k)
     if kind == MODEL_DELTA:
@@ -106,23 +108,12 @@ def finite_wall_solution(
     return WallSolution(amp, ik * (amp - 1.0) / omega, omega)
 
 
-def finite_wall_amp(
-    kind: str,
-    parity: str,
-    k: float,
-    coupling: float,
-    v0: float,
-    wall_contact: float | None = None,
-) -> complex:
-    return finite_wall_solution(kind, parity, k, coupling, v0, wall_contact).amplitude
-
-
 def fitted_slope(v0_grid, deviations) -> float:
     """Least-squares log-log slope over the upper half of the grid."""
     v0_grid = np.asarray(v0_grid, dtype=float)
     deviations = np.asarray(deviations, dtype=float)
     if v0_grid.size < 2:
-        raise ValueError("need at least two grid points")
+        raise InputError("need at least two grid points")
     tail = slice(v0_grid.size // 2, None)
     coeffs = np.polyfit(np.log10(v0_grid[tail]), np.log10(deviations[tail]), 1)
     return float(coeffs[0])
@@ -140,6 +131,10 @@ class SweepResult:
     limit: complex
     slope: float
 
+    def within(self) -> bool:
+        """Whether the fitted slope lies within SLOPE_TOL of EXPECTED_SLOPE."""
+        return bool(abs(self.slope - EXPECTED_SLOPE) <= SLOPE_TOL)
+
 
 def convergence_sweep(
     kind: str,
@@ -154,7 +149,8 @@ def convergence_sweep(
     limit = reflection_amp(kind, parity, k, coupling)
     v0_grid = tuple(float(v) for v in v0_grid)
     amps = tuple(
-        finite_wall_amp(kind, parity, k, coupling, v0, wall_contact) for v0 in v0_grid
+        finite_wall_solution(kind, parity, k, coupling, v0, wall_contact).amplitude
+        for v0 in v0_grid
     )
     devs = tuple(abs(a - limit) for a in amps)
     return SweepResult(

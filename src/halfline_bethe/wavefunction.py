@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateMomentaError, InconsistencyError
+from .errors import DegenerateMomentaError, InconsistencyError, InputError
 from .operators import ModelSpec, pair_exchange_op, wall_reflection_op
 from .representations import RegularRep, ScalarSector
 from .weyl_group import (
@@ -49,8 +49,8 @@ class Momenta:
 
     def __post_init__(self):
         k = np.asarray(self.values, dtype=float)
-        if k.ndim != 1 or k.size < 1:
-            raise ValueError("momenta must be a nonempty 1-d sequence")
+        if k.ndim != 1 or k.size < 1 or not np.all(np.isfinite(k)):
+            raise InputError(f"momenta must be finite, nonempty and 1-d: {self.values}")
         mags = np.sort(np.abs(k))
         if mags[0] <= MOMENTUM_SEPARATION:
             raise DegenerateMomentaError(f"momentum too close to zero: {self.values}")
@@ -71,13 +71,6 @@ class Momenta:
     @property
     def energy(self) -> float:
         return float(np.sum(self.array**2))
-
-
-def energy(momenta) -> float:
-    """Total energy sum_j k_j^2 of a momentum set."""
-    if isinstance(momenta, Momenta):
-        return momenta.energy
-    return Momenta(tuple(momenta)).energy
 
 
 def _step_operator(model, rep, k, new_element, letter):

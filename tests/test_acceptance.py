@@ -15,13 +15,12 @@ from halfline_bethe import (
     Momenta,
     ScalarSector,
     SignedPermutation,
+    boundary_sweep,
     check_braid,
     check_commuting,
     check_eigen,
-    check_pair_boundary,
     check_reflection,
     check_unitarity,
-    check_wall_boundary,
     coefficient_relations,
     compute_coefficients,
     consistency_report,
@@ -29,11 +28,8 @@ from halfline_bethe import (
     dimension_sum_check,
     duality_compare,
     enumerate_group,
-    pair_probe,
     reflection_amp,
     regular_rep,
-    wall_probe,
-    weyl_group,
     word_independence_test,
 )
 from halfline_bethe.weyl_group import letter_element
@@ -148,21 +144,9 @@ def test_a06_boundary_conditions():
                 cases.append((momenta, DELTA, ScalarSector(n, eps_t, eps_r)))
                 cases.append((momenta, PDP, ScalarSector(n, eps_t, eps_r)))
     for momenta, model, rep in cases:
-        n = momenta.n
         coeffs = compute_coefficients(momenta, model, rep)
-        group = weyl_group(n)
-        rng = np.random.default_rng(42)
-        worst = 0.0
-        for contact in range(1, n):
-            for _ in range(20):
-                wedge = group.elements[int(rng.integers(0, group.order))]
-                probe = pair_probe(wedge, contact, rng)
-                worst = max(worst, *check_pair_boundary(coeffs, probe))
-        for _ in range(20):
-            wedge = group.elements[int(rng.integers(0, group.order))]
-            probe = wall_probe(wedge, rng)
-            worst = max(worst, *check_wall_boundary(coeffs, probe))
-        assert worst <= 1e-10, (model.kind, rep.label, n, worst)
+        sweep = boundary_sweep(coeffs, 20, np.random.default_rng(42))
+        assert sweep.within(1e-10), (model.kind, rep.label, momenta.n, sweep.max_residual)
 
 
 @criterion("A07", 1.0, "numerical Laplacian reproduces the eigenvalue")

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from halfline_bethe import (
+    BoundarySweep,
     GeometryError,
     ModelSpec,
     Momenta,
     ScalarSector,
     SignedPermutation,
+    boundary_sweep,
     check_eigen,
     check_halfline_reduction,
     check_pair_boundary,
@@ -181,8 +183,9 @@ def test_eigen_stencil_must_stay_inside_wedge():
     coeffs = compute_coefficients(K2, DELTA, ScalarSector(2, 1, 1))
     with pytest.raises(GeometryError):
         check_eigen(coeffs, [0.05, 2.1], 0.1)  # stencil crosses the wall
-    with pytest.raises(ValueError):
-        check_eigen(coeffs, [0.8, 2.1], 0.0)
+    for h in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            check_eigen(coeffs, [0.8, 2.1], h)
 
 
 @pytest.mark.parametrize("c1,c2", [(1.0, 2.0), (0.3, 1.7)])
@@ -222,3 +225,62 @@ def test_trivial_sectors_ignore_couplings(model_kind, eps):
         K2, ModelSpec(model_kind, 3.7, 0.9), ScalarSector(2, *eps)
     )
     assert np.array_equal(one.table, two.table)
+
+
+def test_boundary_sweep_rows_follow_the_draw_order():
+    coeffs = compute_coefficients(K3, DELTA, ScalarSector(3, 1, -1))
+    sweep = boundary_sweep(coeffs, 4, np.random.default_rng(5))
+    # the same draws made by hand: pair probes per slot, wall probes, origin
+    rng = np.random.default_rng(5)
+    expected = []
+    for contact in (1, 2, None):
+        for _ in range(4):
+            index = int(rng.integers(0, coeffs.group.order))
+            wedge = coeffs.group.elements[index]
+            if contact is None:
+                residuals = check_wall_boundary(coeffs, wall_probe(wedge, rng))
+            else:
+                residuals = check_pair_boundary(coeffs, pair_probe(wedge, contact, rng))
+            expected.append(("wall" if contact is None else "pair", contact, index, residuals))
+    origin = check_halfline_reduction(coeffs, np.cumsum(0.3 + rng.uniform(0.2, 1.0, size=3)))
+    got = [(r["kind"], r["contact"], r["wedge_index"], (r["residual_match"], r["residual_jump"]))
+           for r in sweep.rows]
+    assert got[:-1] == expected
+    assert got[-1] == ("origin", None, None, (max(origin), 0.0))
+    assert sweep.geometry_errors == 0
+    assert sweep.max_residual == max(max(row[3]) for row in got)
+    assert sweep.within()
+
+
+def test_boundary_sweep_regular_rep_has_no_origin_row():
+    coeffs = compute_coefficients(K2, DELTA, regular_rep(2))
+    sweep = boundary_sweep(coeffs, 3, np.random.default_rng(0))
+    assert [row["kind"] for row in sweep.rows] == ["pair"] * 3 + ["wall"] * 3
+    assert sweep.within(1e-10)
+
+
+def test_boundary_sweep_rejects_zero_probes():
+    coeffs = compute_coefficients(K2, DELTA, ScalarSector(2, 1, 1))
+    for probes in (0, -2):
+        with pytest.raises(ValueError):
+            boundary_sweep(coeffs, probes, np.random.default_rng(0))
+
+
+def test_boundary_sweep_verdict():
+    assert BoundarySweep((), 1e-11, 0).within(1e-10)
+    assert not BoundarySweep((), 1e-9, 0).within(1e-10)
+    assert not BoundarySweep((), 0.0, 1).within(1e-10)
+    assert not BoundarySweep((), float("nan"), 0).within(1e-10)
+
+
+def test_eigen_verdict():
+    coeffs = compute_coefficients(K2, DELTA, ScalarSector(2, 1, 1))
+    result = check_eigen(coeffs, [0.8, 2.1], 1e-4)
+    assert result.within()
+    assert not result.within(result.relative / 2)
+    assert not dataclasses.replace(result, relative=float("inf")).within()
+
+
+def test_duality_rejects_an_empty_point_list():
+    with pytest.raises(ValueError):
+        duality_compare(K2, 1.0, 2.0, [])

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from halfline_bethe import cli
 from halfline_bethe.cli import main
+from halfline_bethe.errors import BoundaryPointError
 
 
 def run(capsys, *argv):
@@ -231,3 +233,49 @@ def test_out_files_are_byte_identical_across_runs(tmp_path, capsys):
     run(capsys, "consistency", "--N", "2", "--samples", "5", "--out", str(a))
     run(capsys, "consistency", "--N", "2", "--samples", "5", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # non-finite or non-positive inputs
+        "verify boundary --N 2 --k nan,1.0",
+        "verify boundary --N 2 --k 1.0,inf",
+        "verify boundary --N 2 --c1 inf",
+        "verify boundary --c1 0",
+        "build --model pdp --lambda2 nan",
+        "verify duality --c1 0",
+        "verify eigen --h 0",
+        "scatter --c inf",
+        # runs that would check nothing
+        "consistency --samples 0",
+        "consistency --samples -3",
+        "verify boundary --rep regular --probes 0",
+        "verify duality --points 0",
+        # malformed or out-of-range flags
+        "build --N 2 --k 1.0,1.0",
+        "build --N 6",
+        "reps --N 0",
+        "verify eigen --N 2 --h 5",
+        "scatter --v0 1e3:1e9:1",
+    ],
+)
+def test_invalid_input_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv.split())
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "error", [ValueError("shape mismatch"), BoundaryPointError("point on a facet")]
+)
+def test_internal_value_error_is_not_a_usage_error(error, monkeypatch):
+    # Only InputError means bad flags; any other error is a defect and keeps
+    # its traceback instead of being reported as exit 2.
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "boundary_sweep", fail)
+    with pytest.raises(type(error)):
+        main(["verify", "boundary", "--N", "2"])

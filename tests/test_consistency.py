@@ -200,3 +200,9 @@ def test_residual_scale_delta_regular_is_tiny():
         ):
             worst = max(worst, rpt.residual)
     assert worst < 1e-13
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_consistency_report_rejects_empty_sampling(samples):
+    with pytest.raises(ValueError):
+        consistency_report(ModelSpec("delta", 1.0, 2.0), ScalarSector(2, 1, 1), samples=samples)

@@ -15,7 +15,6 @@ from halfline_bethe import (
 )
 from halfline_bethe.operators import (
     apply_chain,
-    dense_product,
     delta_pair_coeffs,
     pdp_pair_coeffs,
     sector_pair_value,
@@ -33,6 +32,11 @@ def test_model_spec_validation():
         ModelSpec("delta", 0.0, 1.0)
     with pytest.raises(ValueError):
         ModelSpec("pdp", 1.0, -0.5)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            ModelSpec("delta", bad, 1.0)
+        with pytest.raises(ValueError):
+            ModelSpec("pdp", 1.0, bad)
 
 
 def test_delta_coefficients_at_unit_arguments():
@@ -112,7 +116,8 @@ def test_regular_operator_matches_dense_matrix():
     rng = np.random.default_rng(1)
     v = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
     np.testing.assert_allclose(op.apply(v), dense @ v, atol=1e-14)
-    np.testing.assert_allclose(dense_product([op], rep.dim), dense, atol=1e-14)
+    basis = np.eye(rep.dim, dtype=complex)
+    np.testing.assert_allclose(apply_chain([op], basis), dense, atol=1e-14)
 
 
 def test_operator_applies_to_stacked_columns():
@@ -132,9 +137,10 @@ def test_apply_chain_is_rightmost_first():
     v = np.zeros(rep.dim, dtype=complex)
     v[0] = 1.0
     np.testing.assert_allclose(apply_chain([y, z], v), y.apply(z.apply(v)))
-    my = dense_product([y], rep.dim)
-    mz = dense_product([z], rep.dim)
-    np.testing.assert_allclose(dense_product([y, z], rep.dim), my @ mz, atol=1e-14)
+    basis = np.eye(rep.dim, dtype=complex)
+    my = apply_chain([y], basis)
+    mz = apply_chain([z], basis)
+    np.testing.assert_allclose(apply_chain([y, z], basis), my @ mz, atol=1e-14)
 
 
 def test_slot_bounds():

@@ -58,8 +58,6 @@ def test_scalar_sector_basics():
     sector = ScalarSector(3, -1, -1)
     assert sector.dim == 1
     assert sector.label == "--"
-    assert sector.generator_value("T2") == -1
-    assert sector.generator_value("R1") == -1
     g = SignedPermutation((-1, 1, -1), (1, 0, 2))
     assert sector.value(g) == one_dim_rep(-1, -1, g)
 

@@ -1,5 +1,6 @@
 """Single-particle wall reflection and the finite-step convergence."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -109,6 +110,9 @@ def test_decay_rate():
 def test_wall_height_must_dominate_energy():
     with pytest.raises(ValueError):
         finite_wall_solution("delta", "even", 3.0, 1.0, 4.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            finite_wall_solution("delta", "even", 3.0, 1.0, bad)
 
 
 def test_input_validation():
@@ -120,6 +124,18 @@ def test_input_validation():
         reflection_amp("delta", "even", -1.0, 1.0)
     with pytest.raises(ValueError):
         reflection_amp("delta", "even", 1.0, 0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            reflection_amp("delta", "even", 1.0, bad)
+        with pytest.raises(ValueError):
+            reflection_amp("pdp", "odd", bad, 1.0)
+
+
+def test_sweep_verdict_judges_the_slope():
+    sweep = convergence_sweep("delta", "even", 1.0, 2.0, GRID)
+    assert sweep.within()
+    assert not dataclasses.replace(sweep, slope=-0.56).within()
+    assert not dataclasses.replace(sweep, slope=float("nan")).within()
 
 
 @pytest.mark.parametrize("kind,parity", [

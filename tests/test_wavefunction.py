@@ -32,6 +32,9 @@ def test_momenta_validation():
         Momenta((1.0, -1.0))  # magnitudes collide
     with pytest.raises(DegenerateMomentaError):
         Momenta((2.0, 2.0 + 1e-14))
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            Momenta((1.0, bad))
     assert Momenta((1.0, 2.0)).energy == pytest.approx(5.0)
 
 
