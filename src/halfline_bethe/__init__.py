@@ -58,7 +58,6 @@ from .representations import (
     induced_dimension,
     one_dim_rep,
     orbit_representatives,
-    regular_action,
     regular_rep,
     stabilizer_order,
 )

@@ -33,6 +33,7 @@ measures both statements.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,11 +260,12 @@ def check_eigen(coeffs: BetheCoefficients, x, h: float) -> EigenCheck:
     """Central-difference Laplacian residual |sum_m d2psi/dx_m^2 + E psi|.
 
     The full stencil must stay inside one wedge; crossing a facet (where
-    the expansion changes) raises GeometryError.
+    the expansion changes) raises GeometryError.  A step whose square is
+    not a positive normal float (the stencil divides by it) raises InputError.
     """
     x = np.asarray(x, dtype=float)
-    if not (math.isfinite(h) and h > 0):
-        raise InputError("step h must be finite and positive")
+    if not (math.isfinite(h) and h > 0 and sys.float_info.min <= h * h < math.inf):
+        raise InputError("step h must be finite and positive, with h*h a normal float")
     wedge = classify_wedge(x)
     centre = evaluate_psi(coeffs, x, wedge=wedge)
     laplacian = 0j
@@ -325,7 +327,7 @@ def duality_compare(momenta, c1: float, c2: float, points) -> DualityReport:
     )
     table_diff = float(np.max(np.abs(boson.table - fermion.table)))
     identity = SignedPermutation.identity(n)
-    point_diff = 0.0
+    point_diffs = []
     for point in points:
         if np.any(point <= 0) or np.any(np.diff(point) <= 0):
             raise GeometryError(
@@ -333,5 +335,5 @@ def duality_compare(momenta, c1: float, c2: float, points) -> DualityReport:
             )
         a = evaluate_psi(boson, point, wedge=identity)
         b = evaluate_psi(fermion, point, wedge=identity)
-        point_diff = max(point_diff, abs(a.value - b.value))
-    return DualityReport(table_diff, float(point_diff), len(points))
+        point_diffs.append(abs(a.value - b.value))
+    return DualityReport(table_diff, float(np.max(point_diffs)), len(points))

@@ -11,7 +11,14 @@ operator families satisfy, for all real u, v:
                    = Y_1(u-v) Z(2u) Y_1(u+v) Z(2v).
 
 Every residual is the max-abs entry of (left side - right side) applied to
-a full basis.  In the regular representation the braid identity reduces to
+the identity basis vector e_I.  That one column decides the whole matrix:
+right-regular operators commute with left multiplication, so an element x of
+the group algebra is fixed by R(x) e_I, and every other column of R(x) is a
+permutation of that one.  The max-abs over e_I is therefore the max-abs over
+the full matrix (in a one-dimensional sector e_I is the whole space).  A NaN
+residual is never dropped: it makes its relation fail.
+
+In the regular representation the braid identity reduces to
 a three-term relation on the coefficients,
 
     b(v) a(u+v) a(u) + a(v) a(u+v) b(u) = a(u) b(u+v) a(v),
@@ -27,6 +34,7 @@ scalars and the order of factors is immaterial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,25 +90,23 @@ def default_tolerance(rep) -> float:
 
 
 def _residual(lhs: list[RepOperator], rhs: list[RepOperator], dim: int) -> float:
-    basis = np.eye(dim, dtype=complex)
-    return float(np.max(np.abs(apply_chain(lhs, basis) - apply_chain(rhs, basis))))
-
-
-def _identity_residual(ops: list[RepOperator], dim: int) -> float:
-    basis = np.eye(dim, dtype=complex)
-    return float(np.max(np.abs(apply_chain(ops, basis) - basis)))
+    """Max-abs entry of (lhs - rhs) e_I; an empty rhs is the identity.
+    e_I is index 0, the first element enumerate_group yields."""
+    e_identity = np.zeros(dim, dtype=complex)
+    e_identity[0] = 1.0
+    return float(np.max(np.abs(apply_chain(lhs, e_identity) - apply_chain(rhs, e_identity))))
 
 
 def check_unitarity(model: ModelSpec, rep, u: float, tol: float | None = None) -> ResidualReport:
     """Y_i(-u) Y_i(u) = I for every slot, and Z(-u) Z(u) = I."""
     tol = default_tolerance(rep) if tol is None else tol
     n = rep.n_particles
-    worst = 0.0
-    for i in range(1, n):
-        ops = [pair_exchange_op(model, i, -u, rep), pair_exchange_op(model, i, u, rep)]
-        worst = max(worst, _identity_residual(ops, rep.dim))
-    ops = [wall_reflection_op(model, -u, rep), wall_reflection_op(model, u, rep)]
-    worst = max(worst, _identity_residual(ops, rep.dim))
+    chains = [
+        [pair_exchange_op(model, i, -u, rep), pair_exchange_op(model, i, u, rep)]
+        for i in range(1, n)
+    ]
+    chains.append([wall_reflection_op(model, -u, rep), wall_reflection_op(model, u, rep)])
+    worst = float(np.max([_residual(ops, [], rep.dim) for ops in chains]))
     return ResidualReport("unitarity", {"u": float(u)}, worst, tol)
 
 
@@ -113,16 +119,17 @@ def check_commuting(model: ModelSpec, rep, u: float, v: float, tol: float | None
             "commuting", {"u": float(u), "v": float(v)}, None, tol,
             applicable=False, note="needs at least 3 particles",
         )
-    worst = 0.0
+    residuals = []
     for i in range(1, n):
         for j in range(i + 2, n):
             yi = pair_exchange_op(model, i, u, rep)
             yj = pair_exchange_op(model, j, v, rep)
-            worst = max(worst, _residual([yi, yj], [yj, yi], rep.dim))
+            residuals.append(_residual([yi, yj], [yj, yi], rep.dim))
     z = wall_reflection_op(model, u, rep)
     for i in range(2, n):
         yi = pair_exchange_op(model, i, v, rep)
-        worst = max(worst, _residual([z, yi], [yi, z], rep.dim))
+        residuals.append(_residual([z, yi], [yi, z], rep.dim))
+    worst = float(np.max(residuals))
     return ResidualReport("commuting", {"u": float(u), "v": float(v)}, worst, tol)
 
 
@@ -134,7 +141,7 @@ def check_braid(model: ModelSpec, rep, u: float, v: float, tol: float | None = N
             "braid", {"u": float(u), "v": float(v)}, None, tol,
             applicable=False, note="needs at least 3 particles",
         )
-    worst = 0.0
+    residuals = []
     for i in range(1, n - 1):
         lhs = [
             pair_exchange_op(model, i, v, rep),
@@ -146,7 +153,8 @@ def check_braid(model: ModelSpec, rep, u: float, v: float, tol: float | None = N
             pair_exchange_op(model, i, u + v, rep),
             pair_exchange_op(model, i + 1, v, rep),
         ]
-        worst = max(worst, _residual(lhs, rhs, rep.dim))
+        residuals.append(_residual(lhs, rhs, rep.dim))
+    worst = float(np.max(residuals))
     return ResidualReport("braid", {"u": float(u), "v": float(v)}, worst, tol)
 
 
@@ -266,10 +274,13 @@ class RelationSummary:
     worst_params: dict = field(default_factory=dict)
 
     def absorb(self, report: ResidualReport):
+        """Keep the worst residual so far; a NaN counts as worse than any
+        number and, once absorbed, stays (so the outcome is "fail")."""
         if not report.applicable:
             self.applicable = False
             return
-        if self.max_residual is None or report.residual > self.max_residual:
+        worst = self.max_residual
+        if worst is None or not (math.isnan(worst) or report.residual <= worst):
             self.max_residual = report.residual
             self.worst_params = dict(report.params)
 

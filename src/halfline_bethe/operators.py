@@ -73,14 +73,6 @@ def _coeffs(kind: str, u: float, coupling: float) -> CoefficientPair:
     return CoefficientPair(iu / den, -inv / den)
 
 
-def delta_pair_coeffs(u: float, c1: float) -> CoefficientPair:
-    return _coeffs(MODEL_DELTA, u, c1)
-
-
-def pdp_pair_coeffs(u: float, lam1: float) -> CoefficientPair:
-    return _coeffs(MODEL_PDP, u, lam1)
-
-
 def pair_coeffs(model: ModelSpec, u: float) -> CoefficientPair:
     """(a, b) of the pair-exchange operator at momentum transfer u."""
     return _coeffs(model.kind, u, model.pair_coupling)
@@ -130,10 +122,6 @@ class RepOperator:
         self.diag = complex(diag)
         self.off = complex(off)
         self.table = table
-
-    @property
-    def dim(self) -> int:
-        return 1 if self.table is None else len(self.table)
 
     def apply(self, v) -> np.ndarray:
         """Apply to a vector (dim,) or stack of columns (dim, m)."""

@@ -91,9 +91,7 @@ class RegularRep:
         return self.group.order
 
     def table(self, letter: str) -> np.ndarray:
-        from .weyl_group import letter_element
-
-        return self.group.right_table(letter_element(letter, self.group.n))
+        return self.group.letter_table(letter)
 
     @property
     def label(self) -> str:
@@ -102,16 +100,6 @@ class RegularRep:
 
 def regular_rep(n: int) -> RegularRep:
     return RegularRep(weyl_group(n))
-
-
-def regular_action(g: SignedPermutation, v, group: WeylGroup) -> np.ndarray:
-    """Regular action of g on a coefficient vector: out[i] = v[index of Q_i * g]."""
-    v = np.asarray(v)
-    if v.shape[0] != group.order:
-        raise ValueError(
-            f"vector has leading dimension {v.shape[0]}, expected {group.order}"
-        )
-    return v[group.right_table(g)]
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +120,6 @@ class Character:
     @property
     def values(self) -> tuple[int, ...]:
         return tuple(-1 if j < self.flips else 1 for j in range(self.n))
-
-    def value_on_reflection(self, j: int) -> int:
-        """Value on the reflection of coordinate j (1-based)."""
-        return -1 if j <= self.flips else 1
 
 
 def orbit_representatives(n: int) -> tuple[Character, ...]:

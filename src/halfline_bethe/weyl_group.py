@@ -195,6 +195,7 @@ class WeylGroup:
         self.order = len(self.elements)
         self._index = {g: i for i, g in enumerate(self.elements)}
         self._tables: dict[SignedPermutation, np.ndarray] = {}
+        self._letter_tables: dict[str, np.ndarray] = {}
 
     def __len__(self) -> int:
         return self.order
@@ -216,6 +217,13 @@ class WeylGroup:
                 [self._index[q * g] for q in self.elements], dtype=np.intp
             )
         return self._tables[g]
+
+    def letter_table(self, letter: str) -> np.ndarray:
+        """right_table of a generator letter, resolved once per group, so the
+        process-wide weyl_group(n) serves every representation built on it."""
+        if letter not in self._letter_tables:
+            self._letter_tables[letter] = self.right_table(letter_element(letter, self.n))
+        return self._letter_tables[letter]
 
 
 @lru_cache(maxsize=None)

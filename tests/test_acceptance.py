@@ -201,3 +201,17 @@ def test_a11_dimension_sum():
         assert report.ok
         assert report.group_order == order
         assert report.sum_of_squares == order
+
+
+@criterion("A12", 10.0, "A02 at five particles: every relation in the N=5 regular representation")
+def test_a12_regular_relations_at_five_particles():
+    rep = regular_rep(5)
+    report = consistency_report(DELTA, rep, samples=200, seed=0)
+    assert report.overall_ok
+    for summary in report.operator_relations + report.coefficient_relations:
+        assert summary.outcome == "pass", summary.relation
+        assert summary.max_residual <= 1e-12, summary.relation
+    report = consistency_report(PDP, rep, samples=200, seed=0)
+    assert report.overall_ok
+    braid = next(s for s in report.operator_relations if s.relation == "braid")
+    assert braid.expected == braid.outcome == "fail"

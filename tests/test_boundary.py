@@ -2,6 +2,7 @@
 and the strong-weak duality between the two models."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -183,7 +184,8 @@ def test_eigen_stencil_must_stay_inside_wedge():
     coeffs = compute_coefficients(K2, DELTA, ScalarSector(2, 1, 1))
     with pytest.raises(GeometryError):
         check_eigen(coeffs, [0.05, 2.1], 0.1)  # stencil crosses the wall
-    for h in (0.0, float("nan"), float("inf")):
+    # 1e-300 and 1e-160 square to zero or a subnormal, 1e200 to inf
+    for h in (0.0, float("nan"), float("inf"), 1e-300, 1e-160, 1e200):
         with pytest.raises(ValueError):
             check_eigen(coeffs, [0.8, 2.1], h)
 
@@ -202,6 +204,17 @@ def test_duality_three_particles():
     points = [np.cumsum(0.2 + rng.uniform(0.0, 1.0, size=3)) for _ in range(5)]
     report = duality_compare(K3, 1.0, 2.0, points)
     assert report.within(1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_duality_nan_point_difference_is_not_dropped():
+    # psi at an infinite coordinate is NaN; the NaN must reach the verdict
+    # whichever position the point takes
+    good, bad = [0.5, 1.0], [0.3, float("inf")]
+    for points in ([good, bad], [bad, good]):
+        report = duality_compare(K2, 1.0, 2.0, points)
+        assert math.isnan(report.max_point_diff)
+        assert not report.within()
 
 
 def test_duality_rejects_unordered_points():

@@ -246,6 +246,7 @@ def test_out_files_are_byte_identical_across_runs(tmp_path, capsys):
         "build --model pdp --lambda2 nan",
         "verify duality --c1 0",
         "verify eigen --h 0",
+        "verify eigen --h 1e-300",
         "scatter --c inf",
         # runs that would check nothing
         "consistency --samples 0",

@@ -27,8 +27,11 @@ from halfline_bethe.consistency import (
     EXPECT_FAIL,
     EXPECT_PASS,
     REPORT_ONLY,
+    RelationSummary,
+    ResidualReport,
     expected_outcome,
 )
+from halfline_bethe.operators import apply_chain, pair_exchange_op, wall_reflection_op
 
 DELTA = ModelSpec("delta", 1.0, 2.0)
 PDP = ModelSpec("pdp", 1.0, 0.5)
@@ -206,3 +209,104 @@ def test_residual_scale_delta_regular_is_tiny():
 def test_consistency_report_rejects_empty_sampling(samples):
     with pytest.raises(ValueError):
         consistency_report(ModelSpec("delta", 1.0, 2.0), ScalarSector(2, 1, 1), samples=samples)
+
+
+def dense_chains(relation, model, rep, u, v):
+    """(lhs, rhs) operator chains of each relation instance, as the module
+    docstring states them; an empty rhs is the identity."""
+    n = rep.n_particles
+
+    def y(i, x):
+        return pair_exchange_op(model, i, x, rep)
+
+    def z(x):
+        return wall_reflection_op(model, x, rep)
+
+    if relation == "unitarity":
+        return [([y(i, -u), y(i, u)], []) for i in range(1, n)] + [([z(-u), z(u)], [])]
+    if relation == "commuting":
+        pairs = [(y(i, u), y(j, v)) for i in range(1, n) for j in range(i + 2, n)]
+        pairs += [(z(u), y(i, v)) for i in range(2, n)]
+        return [([a, b], [b, a]) for a, b in pairs]
+    if relation == "braid":
+        return [
+            ([y(i, v), y(i + 1, u + v), y(i, u)], [y(i + 1, u), y(i, u + v), y(i + 1, v)])
+            for i in range(1, n - 1)
+        ]
+    return [(
+        [z(2 * v), y(1, u + v), z(2 * u), y(1, u - v)],
+        [y(1, u - v), z(2 * u), y(1, u + v), z(2 * v)],
+    )]
+
+
+def dense_residual(relation, model, rep, u, v):
+    """Max-abs entry of the full matrix lhs - rhs, applied to every basis vector."""
+    basis = np.eye(rep.dim, dtype=complex)
+    return max(
+        float(np.max(np.abs(apply_chain(lhs, basis) - apply_chain(rhs, basis))))
+        for lhs, rhs in dense_chains(relation, model, rep, u, v)
+    )
+
+
+CHECKS = {
+    "unitarity": lambda model, rep, u, v: check_unitarity(model, rep, u),
+    "commuting": check_commuting,
+    "braid": check_braid,
+    "reflection": check_reflection,
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("model", [DELTA, PDP], ids=["delta", "pdp"])
+def test_one_column_residual_equals_dense_residual(model, n):
+    # the e_I column decides the whole matrix of a right-regular operator
+    rep = regular_rep(n)
+    rng = np.random.default_rng(100 + n)
+    for u, v in rng.uniform(-5.0, 5.0, size=(3, 2)):
+        for relation, check in CHECKS.items():
+            report = check(model, rep, u, v)
+            if not report.applicable:
+                assert n == 2 and relation in ("commuting", "braid")
+                continue
+            dense = dense_residual(relation, model, rep, u, v)
+            assert report.residual == pytest.approx(dense, rel=1e-12, abs=1e-15), relation
+
+
+def test_pdp_braid_residual_is_unchanged_by_the_one_column_check():
+    report = check_braid(PDP, regular_rep(3), 1.0, 1.0)
+    assert report.residual == pytest.approx(0.670820393249937, abs=1e-15)
+
+
+def summary_of(residuals):
+    summary = RelationSummary("braid", EXPECT_PASS, 1e-12)
+    for k, residual in enumerate(residuals):
+        summary.absorb(ResidualReport("braid", {"k": k}, residual, 1e-12))
+    return summary
+
+
+@pytest.mark.parametrize(
+    "residuals",
+    [[1e-16, math.nan, 1e-16], [math.nan, 1e-16], [1e-16, math.nan], [1e-16, math.inf, 1e-16]],
+)
+def test_non_finite_residual_makes_the_relation_fail(residuals):
+    summary = summary_of(residuals)
+    assert summary.outcome == "fail"
+    assert not summary.ok
+    assert not math.isfinite(summary.max_residual)
+    bad = next(k for k, r in enumerate(residuals) if not math.isfinite(r))
+    assert summary.worst_params == {"k": bad}
+
+
+def test_finite_residuals_keep_the_first_worst():
+    summary = summary_of([1e-16, 3e-16, 3e-16, 2e-16])
+    assert summary.outcome == "pass"
+    assert summary.max_residual == 3e-16
+    assert summary.worst_params == {"k": 1}
+
+
+@pytest.mark.parametrize("rep", [regular_rep(3), ScalarSector(3, 1, 1)], ids=["regular", "sector"])
+@pytest.mark.parametrize("relation", list(CHECKS))
+def test_nan_momentum_transfer_fails_every_check(relation, rep):
+    report = CHECKS[relation](DELTA, rep, math.nan, 1.0)
+    assert math.isnan(report.residual)
+    assert report.passed is False

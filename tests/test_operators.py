@@ -15,8 +15,6 @@ from halfline_bethe import (
 )
 from halfline_bethe.operators import (
     apply_chain,
-    delta_pair_coeffs,
-    pdp_pair_coeffs,
     sector_pair_value,
     sector_wall_value,
 )
@@ -39,30 +37,37 @@ def test_model_spec_validation():
             ModelSpec("pdp", 1.0, bad)
 
 
+UNIT_DELTA = ModelSpec("delta", 1.0, 1.0)
+UNIT_PDP = ModelSpec("pdp", 1.0, 1.0)
+
+
 def test_delta_coefficients_at_unit_arguments():
-    pair = delta_pair_coeffs(1.0, 1.0)
+    pair = pair_coeffs(UNIT_DELTA, 1.0)
     assert pair.a == pytest.approx(-0.5 - 0.5j, abs=1e-15)
     assert pair.b == pytest.approx(0.5 - 0.5j, abs=1e-15)
 
 
 def test_pdp_coefficients_at_unit_arguments():
-    pair = pdp_pair_coeffs(1.0, 1.0)
+    pair = pair_coeffs(UNIT_PDP, 1.0)
     assert pair.a == pytest.approx(0.5 - 0.5j, abs=1e-15)
     assert pair.b == pytest.approx(0.5 + 0.5j, abs=1e-15)
 
 
 def test_model_dispatch_uses_the_right_coupling():
-    assert pair_coeffs(DELTA, 1.7) == delta_pair_coeffs(1.7, DELTA.pair_coupling)
-    assert wall_coeffs(DELTA, 1.7) == delta_pair_coeffs(1.7, DELTA.wall_coupling)
-    assert pair_coeffs(PDP, 1.7) == pdp_pair_coeffs(1.7, PDP.pair_coupling)
-    assert wall_coeffs(PDP, 1.7) == pdp_pair_coeffs(1.7, PDP.wall_coupling)
+    # the wall pair is the pair formula at the wall coupling
+    for model in (DELTA, PDP):
+        swapped = ModelSpec(model.kind, model.wall_coupling, model.pair_coupling)
+        assert wall_coeffs(model, 1.7) == pair_coeffs(swapped, 1.7)
+        assert pair_coeffs(model, 1.7) == wall_coeffs(swapped, 1.7)
+    assert pair_coeffs(DELTA, 1.7) != wall_coeffs(DELTA, 1.7)
+    assert pair_coeffs(PDP, 1.7) != wall_coeffs(PDP, 1.7)
 
 
 def test_coefficients_sum_to_one_at_zero_limit():
     # a + b is the sector value for eps=+1; for delta it tends to -1 as u->0
-    pair = delta_pair_coeffs(1e-9, 1.0)
+    pair = pair_coeffs(UNIT_DELTA, 1e-9)
     assert pair.a + pair.b == pytest.approx(-1.0, abs=1e-8)
-    pair = pdp_pair_coeffs(1e-9, 1.0)
+    pair = pair_coeffs(UNIT_PDP, 1e-9)
     assert pair.a - pair.b == pytest.approx(-1.0, abs=1e-8)
 
 
@@ -99,7 +104,6 @@ def test_trivial_sectors_are_exact_signs():
 def test_sector_operator_is_scalar():
     sector = ScalarSector(2, 1, 1)
     op = pair_exchange_op(DELTA, 1, 0.9, sector)
-    assert op.dim == 1
     v = np.array([2.0 + 0j])
     np.testing.assert_allclose(op.apply(v), sector_pair_value(DELTA, 0.9, 1) * v)
 

@@ -13,7 +13,6 @@ from halfline_bethe import (
     induced_dimension,
     one_dim_rep,
     orbit_representatives,
-    regular_action,
     regular_rep,
     stabilizer_order,
     weyl_group,
@@ -24,6 +23,7 @@ from halfline_bethe.representations import (
     perm_parity,
     standard_tableau_count,
 )
+from halfline_bethe.weyl_group import letter_element
 
 
 def test_perm_parity_matches_inversion_count():
@@ -76,6 +76,15 @@ def test_regular_rep_table_is_permutation():
         assert sorted(table) == list(range(rep.dim))
 
 
+def test_regular_rep_tables_are_resolved_once_per_group():
+    # a fresh RegularRep over the process-wide group reuses its letter tables
+    group = weyl_group(3)
+    for letter in ("T1", "T2", "R1"):
+        table = regular_rep(3).table(letter)
+        assert table is regular_rep(3).table(letter)
+        np.testing.assert_array_equal(table, group.right_table(letter_element(letter, 3)))
+
+
 def test_regular_action_on_basis_vectors():
     # acting by g sends the basis vector at h to the one at h * g^{-1}
     group = weyl_group(2)
@@ -83,7 +92,7 @@ def test_regular_action_on_basis_vectors():
         for h in group.elements:
             v = np.zeros(group.order)
             v[group.index_of(h)] = 1.0
-            out = regular_action(g, v, group)
+            out = v[group.right_table(g)]
             expected = np.zeros(group.order)
             expected[group.index_of(h * g.inverse())] = 1.0
             np.testing.assert_array_equal(out, expected)
@@ -95,16 +104,14 @@ def test_regular_action_composition():
     v = rng.normal(size=group.order)
     for g in group.elements:
         for h in group.elements:
-            lhs = regular_action(h, regular_action(g, v, group), group)
-            rhs = regular_action(h * g, v, group)
+            lhs = v[group.right_table(g)][group.right_table(h)]
+            rhs = v[group.right_table(h * g)]
             np.testing.assert_array_equal(lhs, rhs)
 
 
 def test_character_values():
     chi = Character(4, 2)
     assert chi.values == (-1, -1, 1, 1)
-    assert chi.value_on_reflection(1) == -1
-    assert chi.value_on_reflection(3) == 1
 
 
 def test_orbit_representatives_cover_all_flip_counts():
