@@ -307,12 +307,14 @@ def duality_compare(momenta, c1: float, c2: float, points) -> DualityReport:
 
     Compares the coefficient tables entrywise and the wavefunctions at the
     given fundamental-wedge points (coordinates strictly increasing and
-    positive; anything else raises GeometryError).  An empty point list
-    raises InputError.
+    positive; anything else raises GeometryError).  An empty point list or
+    a coordinate that is not finite raises InputError.
     """
     points = [np.asarray(point, dtype=float) for point in points]
     if not points:
         raise InputError("duality needs at least one point")
+    if not all(np.all(np.isfinite(point)) for point in points):
+        raise InputError("duality points must have finite coordinates")
     momenta = momenta if isinstance(momenta, Momenta) else Momenta(tuple(momenta))
     n = momenta.n
     boson = compute_coefficients(

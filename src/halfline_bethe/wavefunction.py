@@ -10,28 +10,42 @@ A_P(Q) means sector_value(Q) * A_P.  The coefficients are fixed (up to the
 choice of A_I) by one recursion per generator,
 
     A_{P T_i} = Y_i(u) A_P   with  u = k at slot i+1 minus slot i of P T_i,
-    A_{P R_1} = Z(2 * first slot of k under P R_1) A_P,
+    A_{P R_1} = Z(2 * first slot of k under P R_1) A_P.
 
-walked breadth-first over the group's Cayley graph.  Whenever the walk
-revisits an element, the new value is compared with the stored one; any
-disagreement beyond tolerance means the operator family is inconsistent
-and raises InconsistencyError with the two generator words as witness.
+Every u is one of the 4N(N-1) + 2N transfers +-k_a +- k_b and +-2 k_a, so a
+build evaluates one operator factor per transfer and then follows the
+group's fixed breadth-first walk (WeylGroup.walk_plan): level by level, each
+element is its tree parent's coefficient times the factor of the tree edge.
+Every other Cayley edge is a cross-check of the stored values; a
+disagreement beyond tolerance, or one that is not finite, means the
+operator family is inconsistent and raises InconsistencyError with the two
+generator words as witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateMomentaError, InconsistencyError, InputError
-from .operators import ModelSpec, pair_exchange_op, wall_reflection_op
+from .operators import (
+    ModelSpec,
+    pair_coeffs,
+    pair_exchange_op,
+    sector_pair_value,
+    sector_wall_value,
+    wall_coeffs,
+    wall_reflection_op,
+)
 from .representations import RegularRep, ScalarSector
 from .weyl_group import (
     SignedPermutation,
     WeylGroup,
     classify_wedge,
     evaluate_word,
+    generator_letters,
     letter_element,
     weyl_group,
     word_for,
@@ -98,14 +112,20 @@ class BetheCoefficients:
     def coefficient(self, element: SignedPermutation) -> np.ndarray:
         return self.table[self.group.index_of(element)].copy()
 
+    @cached_property
+    def _frames(self) -> np.ndarray:
+        """Row q is elements[q].apply(k)."""
+        return _signed(self.momenta.array)[self.group.walk_plan.codes]
+
     def wedge_data(self, wedge: SignedPermutation):
         """Per-wedge evaluation data: the effective momentum row for each P
         (row P is (P * wedge^-1).apply(k)) and the coefficient column A_P(Q)."""
         key = self.group.index_of(wedge)
         if key not in self._wedge_cache:
-            k = self.momenta.array
             winv = wedge.inverse()
-            carried = np.array([(p * winv).apply(k) for p in self.group.elements])
+            # (P * winv).apply(k) == winv.apply(P.apply(k)); C order keeps
+            # the rounding of carried @ x as it is for a stacked array
+            carried = np.ascontiguousarray(self._frames[:, list(winv.perm)] * winv.signs)
             if isinstance(self.rep, ScalarSector):
                 coeffs = self.table[:, 0] * self.rep.value(wedge)
             else:
@@ -124,7 +144,65 @@ def _initial_vector(rep, group, initial) -> np.ndarray:
     vec = np.atleast_1d(np.asarray(initial, dtype=complex))
     if vec.shape != (rep.dim,):
         raise ValueError(f"initial vector must have shape ({rep.dim},)")
+    if not np.all(np.isfinite(vec)):
+        raise InputError("initial vector must be finite")
     return vec.copy()
+
+
+def _signed(k: np.ndarray) -> np.ndarray:
+    """(k, -k), indexed by the walk plan's slot codes."""
+    return np.concatenate([k, -k])
+
+
+def _root_factors(model: ModelSpec, rep, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(diag, off) of the step operator per root code of the walk plan.
+    Each u comes from the same float subtraction a walk along a word makes,
+    and each factor from the same scalar function, so every step matches
+    coefficient_along_word bit for bit."""
+    n = len(k)
+    ks = _signed(k)
+    diag = np.zeros(4 * n * n + 2 * n, dtype=complex)
+    off = np.zeros_like(diag)
+
+    def put(code, u, wall):
+        if isinstance(rep, ScalarSector):
+            diag[code] = (sector_wall_value(model, u, rep.eps_r) if wall
+                          else sector_pair_value(model, u, rep.eps_t))
+        else:
+            pair = wall_coeffs(model, u) if wall else pair_coeffs(model, u)
+            diag[code], off[code] = pair.a, pair.b
+
+    for hi in range(2 * n):
+        put(4 * n * n + hi, 2.0 * ks[hi], True)
+        for lo in range(2 * n):
+            if hi % n != lo % n:
+                put(hi * 2 * n + lo, ks[hi] - ks[lo], False)
+    return diag, off
+
+
+def _walk_sector(plan, column, diag):
+    """Fill a one-dimensional table level by level; yield each level's
+    cross-check residuals once the level after it is filled."""
+    for tree, checks in plan.levels:
+        column[tree.dst] = diag[tree.root] * column[tree.src]
+        yield np.abs(diag[checks.root] * column[checks.src] - column[checks.dst])
+
+
+def _walk_regular(plan, table, diag, off):
+    """As _walk_sector, one row at a time, each step applied as
+    RepOperator.apply applies it."""
+    diag, off = diag.tolist(), off.tolist()
+    tables = list(plan.tables.values())
+
+    def carry(src, letter, root):
+        v = table[src]
+        return diag[root] * v + off[root] * v[tables[letter]]
+
+    for tree, checks in plan.levels:
+        for src, dst, letter, root in zip(*(a.tolist() for a in tree)):
+            table[dst] = carry(src, letter, root)
+        yield np.array([np.max(np.abs(carry(src, letter, root) - table[dst]))
+                        for src, dst, letter, root in zip(*(a.tolist() for a in checks))])
 
 
 def compute_coefficients(
@@ -136,62 +214,47 @@ def compute_coefficients(
 ) -> BetheCoefficients:
     """Build the full coefficient table by breadth-first recursion.
 
-    Revisited Cayley edges cross-check the stored values, so a returned
-    table is certified path independent at `crosscheck_tol`.  For the pdp
-    model this succeeds only in scalar sectors; in the regular
-    representation the recursion is contradictory and raises
-    InconsistencyError for any initial vector in general position.
+    Every Cayley edge off the walk's tree cross-checks the stored values,
+    so a returned table is certified path independent at `crosscheck_tol`;
+    a residual above it or not finite raises InconsistencyError at the
+    first such edge in walk order.  For the pdp model this succeeds only in
+    scalar sectors; in the regular representation the recursion is
+    contradictory and raises for any initial vector in general position.
     """
     momenta = momenta if isinstance(momenta, Momenta) else Momenta(tuple(momenta))
     if rep.n_particles != momenta.n:
         raise ValueError(
             f"representation is for {rep.n_particles} particles, momenta for {momenta.n}"
         )
+    if not isinstance(rep, (ScalarSector, RegularRep)):
+        raise TypeError(f"unsupported representation {rep!r}")
     group = weyl_group(momenta.n)
     if isinstance(rep, RegularRep) and rep.group is not group:
         rep = RegularRep(group)
-    k = momenta.array
-    n_el = group.order
+    plan = group.walk_plan
+    table = np.zeros((group.order, rep.dim), dtype=complex)
+    table[0] = _initial_vector(rep, group, initial)
+    diag, off = _root_factors(model, rep, momenta.array)
+    if isinstance(rep, ScalarSector):
+        residuals = _walk_sector(plan, table[:, 0], diag)
+    else:
+        residuals = _walk_regular(plan, table, diag, off)
 
-    table = np.zeros((n_el, rep.dim), dtype=complex)
-    words: list[tuple[str, ...] | None] = [None] * n_el
-    seen = np.zeros(n_el, dtype=bool)
-
-    start = group.index_of(SignedPermutation.identity(momenta.n))
-    table[start] = _initial_vector(rep, group, initial)
-    words[start] = ()
-    seen[start] = True
     max_crosscheck = 0.0
-
-    gens = [(letter, letter_element(letter, momenta.n)) for letter in
-            [f"T{i}" for i in range(1, momenta.n)] + ["R1"]]
-    frontier = [start]
-    while frontier:
-        next_frontier = []
-        for idx in sorted(frontier):
-            element = group.elements[idx]
-            current = table[idx]
-            for letter, gen in gens:
-                neighbour = element * gen
-                nidx = group.index_of(neighbour)
-                op = _step_operator(model, rep, k, neighbour, letter)
-                candidate = op.apply(current)
-                if seen[nidx]:
-                    diff = float(np.max(np.abs(candidate - table[nidx])))
-                    if diff > crosscheck_tol:
-                        raise InconsistencyError(
-                            neighbour, words[nidx], words[idx] + (letter,), diff
-                        )
-                    max_crosscheck = max(max_crosscheck, diff)
-                else:
-                    table[nidx] = candidate
-                    words[nidx] = words[idx] + (letter,)
-                    seen[nidx] = True
-                    next_frontier.append(nidx)
-        frontier = next_frontier
+    for (_, checks), diffs in zip(plan.levels, residuals):
+        failed = np.flatnonzero(~(diffs <= crosscheck_tol))
+        if failed.size:
+            e = failed[0]
+            src, dst = checks.src[e], checks.dst[e]
+            letter = generator_letters(momenta.n)[checks.letter[e]]
+            raise InconsistencyError(
+                group.elements[dst], plan.words[dst], plan.words[src] + (letter,), diffs[e]
+            )
+        if diffs.size:
+            max_crosscheck = max(max_crosscheck, float(diffs.max()))
 
     return BetheCoefficients(
-        momenta, model, rep, group, table, tuple(words), max_crosscheck
+        momenta, model, rep, group, table, plan.words, max_crosscheck
     )
 
 
@@ -221,7 +284,7 @@ def _rewritten_word(word, n: int, rng) -> tuple[str, ...]:
     application of a defining relation (insertion of an involution pair,
     braid rewrite, commutation swap, or wall-braid reversal)."""
     word = list(word)
-    letters = [f"T{i}" for i in range(1, n)] + ["R1"]
+    letters = generator_letters(n)
     moves = []
 
     pos = int(rng.integers(0, len(word) + 1))

@@ -19,14 +19,18 @@ wedges meeting along the facet ``y[i-1] = y[i]`` carry labels g and
 ``g * transposition(n, i)``; across the facet ``y[0] = 0`` the neighbour is
 ``g * wall_flip(n)``.  Generator words are spelled with the letters
 "T1".."T{N-1}" (adjacent transpositions) and "R1" (sign flip of the first
-slot), all of which are involutions.
+slot), all of which are involutions.  WeylGroup.walk_plan holds the
+breadth-first walk of the Cayley graph that the coefficient recursion
+follows.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -185,9 +189,106 @@ def enumerate_group(n: int, max_n: int = MAX_PARTICLES) -> tuple[SignedPermutati
     )
 
 
+class Edges(NamedTuple):
+    """Cayley edges src -> dst = elements[src] * letter, in walk order, with
+    the root code of the momentum transfer each one carries (WalkPlan)."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    letter: np.ndarray
+    root: np.ndarray
+
+
+@dataclass(frozen=True)
+class WalkPlan:
+    """The breadth-first walk over the Cayley graph, which depends only on
+    the group.  The walk visits the levels in order, each level's elements
+    by index and their letters in generator_letters order; an element's
+    tree edge is the first edge that reaches it.
+
+    Slot j of element q holds the signed momentum ks[codes[q, j]], where
+    ks = (k, -k): elements[q].apply(k) == ks[codes[q]].  The edge of letter
+    T_i ending at an element with codes c carries u = ks[c[i]] - ks[c[i-1]]
+    and has root code c[i] * 2n + c[i-1]; an R1 edge carries u = 2 ks[c[0]]
+    and has root code 4n^2 + c[0].
+    """
+
+    codes: np.ndarray  # (order, n): perm, plus n where the sign is -1
+    tables: dict[str, np.ndarray]  # right table of each generator letter
+    levels: tuple[tuple[Edges, Edges], ...]  # per level: tree edges to the
+    # next level, then every other edge leaving the level (the cross-checks)
+    words: tuple[tuple[str, ...], ...]  # the tree path to each element
+
+
+def _rank(codes: np.ndarray, n: int) -> np.ndarray:
+    """enumerate_group index of each row of slot codes: the Lehmer rank of
+    the permutation, then the sign bits with the first slot highest."""
+    perms = codes % n
+    rank = np.zeros(len(codes), dtype=np.intp)
+    for j in range(n):
+        for m in range(j + 1, n):
+            rank += (perms[:, m] < perms[:, j]) * math.factorial(n - 1 - j)
+    for j in range(n):
+        rank = 2 * rank + (codes[:, j] >= n)
+    return rank
+
+
+def _walk_plan(group: WeylGroup) -> WalkPlan:
+    # Whole-array steps keep the one-time cost near 25 ms at N=5; no numpy
+    # sort or unique runs, since the first call of each raises peak memory.
+    n, order = group.n, group.order
+    signs = np.array([g.signs for g in group.elements])
+    perms = np.array([g.perm for g in group.elements], dtype=np.intp)
+    codes = np.where(signs < 0, perms + n, perms)
+    neighbours = np.empty((n, order), dtype=np.intp)
+    roots = np.empty((n, order), dtype=np.intp)
+    for t in range(n - 1):  # letter T{t+1} swaps slots t and t+1
+        moved = codes.copy()
+        moved[:, [t, t + 1]] = codes[:, [t + 1, t]]
+        neighbours[t] = _rank(moved, n)
+        roots[t] = moved[:, t + 1] * 2 * n + moved[:, t]
+    moved = codes.copy()
+    moved[:, 0] = (codes[:, 0] + n) % (2 * n)
+    neighbours[n - 1] = _rank(moved, n)
+    roots[n - 1] = 4 * n * n + moved[:, 0]
+
+    letters = generator_letters(n)
+    depth = np.full(order, -1)
+    parent = np.full(order, -1)
+    via = np.full(order, -1)
+    words: list = [()] * order
+    levels = []
+    frontier, d = np.zeros(1, dtype=np.intp), 0
+    depth[0] = 0
+    while frontier.size:
+        reached = np.zeros(order, dtype=bool)
+        reached[neighbours[:, frontier]] = True
+        kids = np.flatnonzero(reached & (depth < 0))
+        depth[kids] = d + 1
+        # a kid's tree edge is the first in walk order that reaches it: the
+        # least frontier index, then the least letter (generators are
+        # involutions, so kid * letter is the edge's source)
+        back = neighbours[:, kids]
+        key = np.where(depth[back] == d, back * n + np.arange(n)[:, None], n * order)
+        via[kids] = key.argmin(axis=0)
+        parent[kids] = back[via[kids], np.arange(kids.size)]
+        for kid, up, letter in zip(kids.tolist(), parent[kids].tolist(), via[kids].tolist()):
+            words[kid] = words[up] + (letters[letter],)
+        src = np.repeat(frontier, n)
+        letter = np.tile(np.arange(n), frontier.size)
+        dst = neighbours[letter, src]
+        tree = (parent[dst] == src) & (via[dst] == letter)
+        edges = (src, dst, letter, roots[letter, src])
+        levels.append(tuple(Edges(*(a[m].astype(np.int32) for a in edges))
+                            for m in (tree, ~tree)))
+        frontier, d = kids, d + 1
+    return WalkPlan(codes, dict(zip(letters, neighbours)), tuple(levels), tuple(words))
+
+
 class WeylGroup:
-    """Enumerated signed-permutation group with index lookup and
-    right-multiplication tables (the ingredients of the regular action)."""
+    """Enumerated signed-permutation group with index lookup, right-
+    multiplication tables (the ingredients of the regular action) and the
+    walk plan of the coefficient recursion, built on first use."""
 
     def __init__(self, n: int, max_n: int = MAX_PARTICLES):
         self.n = n
@@ -195,7 +296,6 @@ class WeylGroup:
         self.order = len(self.elements)
         self._index = {g: i for i, g in enumerate(self.elements)}
         self._tables: dict[SignedPermutation, np.ndarray] = {}
-        self._letter_tables: dict[str, np.ndarray] = {}
 
     def __len__(self) -> int:
         return self.order
@@ -218,12 +318,17 @@ class WeylGroup:
             )
         return self._tables[g]
 
+    @cached_property
+    def walk_plan(self) -> WalkPlan:
+        return _walk_plan(self)
+
     def letter_table(self, letter: str) -> np.ndarray:
-        """right_table of a generator letter, resolved once per group, so the
+        """right_table of a generator letter, read from the walk plan, so the
         process-wide weyl_group(n) serves every representation built on it."""
-        if letter not in self._letter_tables:
-            self._letter_tables[letter] = self.right_table(letter_element(letter, self.n))
-        return self._letter_tables[letter]
+        try:
+            return self.walk_plan.tables[letter]
+        except KeyError:
+            raise IndexError(f"unknown generator letter {letter!r}") from None
 
 
 @lru_cache(maxsize=None)

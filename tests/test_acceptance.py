@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+from closed_form import closed_form_table
 from halfline_bethe import (
     ModelSpec,
     Momenta,
@@ -215,3 +216,13 @@ def test_a12_regular_relations_at_five_particles():
     assert report.overall_ok
     braid = next(s for s in report.operator_relations if s.relation == "braid")
     assert braid.expected == braid.outcome == "fail"
+
+
+@criterion("A13", 1.0, "N=5 sector tables equal the closed-form product over the C_5 roots")
+def test_a13_closed_form_at_five_particles():
+    momenta = Momenta((0.45, 1.3, -2.05, 2.9, 3.7))
+    for model in (DELTA, PDP):
+        for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            table = compute_coefficients(momenta, model, ScalarSector(5, *signs)).table
+            oracle = closed_form_table(momenta, model, *signs)
+            assert np.max(np.abs(table[:, 0] - oracle)) <= 1e-14, (model.kind, signs)

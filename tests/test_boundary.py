@@ -10,6 +10,7 @@ import pytest
 from halfline_bethe import (
     BoundarySweep,
     GeometryError,
+    InputError,
     ModelSpec,
     Momenta,
     ScalarSector,
@@ -207,14 +208,23 @@ def test_duality_three_particles():
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_duality_nan_point_difference_is_not_dropped():
-    # psi at an infinite coordinate is NaN; the NaN must reach the verdict
+    # the phase k * x overflows at a finite coordinate near the float
+    # maximum, so psi there is NaN; the NaN must reach the verdict
     # whichever position the point takes
-    good, bad = [0.5, 1.0], [0.3, float("inf")]
+    good, bad = [0.5, 1.0], [0.3, 1e308]
     for points in ([good, bad], [bad, good]):
         report = duality_compare(K2, 1.0, 2.0, points)
         assert math.isnan(report.max_point_diff)
         assert not report.within()
+
+
+def test_duality_rejects_non_finite_points():
+    for bad in ([0.3, float("inf")], [float("nan"), 1.0], [0.3, float("-inf")]):
+        for points in ([[0.5, 1.0], bad], [bad]):
+            with pytest.raises(InputError):
+                duality_compare(K2, 1.0, 2.0, points)
 
 
 def test_duality_rejects_unordered_points():

@@ -41,6 +41,7 @@ CASES = [
      "verify boundary --model delta --N 3 --rep regular --probes 5"),
     ("scatter_pdp_json.json", 0,
      "scatter --model pdp --parity odd --k 1 --lambda 0.5 --format json"),
+    ("build_pdp_n4_mm.csv", 0, "build --model pdp --N 4 --sector mm --format csv"),
 ]
 
 
@@ -88,6 +89,15 @@ def test_cli_output_matches_golden(golden, code, argv, capsys):
         assert_matches(json.loads(out), json.loads(want))
     else:
         assert_matches(csv_fields(out), csv_fields(want))
+
+
+def test_sector_build_csv_is_bit_exact(capsys):
+    # a sector table is made of IEEE products and quotients only (no libm
+    # call), and the CSV prints each entry with repr, so the walk must
+    # reproduce every digit
+    assert main("build --model pdp --N 4 --sector mm --format csv".split()) == 0
+    want = (GOLDEN / "build_pdp_n4_mm.csv").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
 
 
 def test_float_comparison_tolerates_one_ulp_only():

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from closed_form import closed_form_table
 from halfline_bethe import (
     DegenerateMomentaError,
     InconsistencyError,
+    InputError,
     ModelSpec,
     Momenta,
     ScalarSector,
@@ -23,6 +25,10 @@ DELTA = ModelSpec("delta", 1.0, 2.0)
 PDP = ModelSpec("pdp", 1.0, 0.5)
 K3 = Momenta((0.7, 1.9, 3.2))
 K2 = Momenta((1.1, 2.3))
+K4 = Momenta((0.6, -1.45, 2.2, 3.05))
+K5 = Momenta((0.45, 1.3, -2.05, 2.9, 3.7))
+MOMENTA = {2: K2, 3: K3, 4: K4, 5: K5}
+SECTORS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 
 
 def test_momenta_validation():
@@ -46,11 +52,48 @@ def test_identity_row_is_the_initial_vector():
 
 
 def test_table_matches_word_evaluation_exhaustively():
-    rep = ScalarSector(2, 1, -1)
-    coeffs = compute_coefficients(K2, DELTA, rep)
-    for idx, element in enumerate(coeffs.group.elements):
-        direct = coefficient_along_word(K2, DELTA, rep, coeffs.words[idx])
-        np.testing.assert_allclose(coeffs.table[idx], direct, atol=1e-14)
+    # each row is the product along its construction word, bit for bit:
+    # the walk multiplies the same factors in the same order
+    cases = [(model, ScalarSector(n, *signs))
+             for model in (DELTA, PDP) for n in (2, 3, 4) for signs in SECTORS]
+    cases.append((DELTA, regular_rep(3)))  # the pdp regular build is inconsistent
+    for model, rep in cases:
+        momenta = MOMENTA[rep.n_particles]
+        coeffs = compute_coefficients(momenta, model, rep)
+        for idx in range(coeffs.group.order):
+            direct = coefficient_along_word(momenta, model, rep, coeffs.words[idx])
+            np.testing.assert_array_equal(coeffs.table[idx], direct)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sector_tables_equal_the_closed_form_product(n):
+    for model in (DELTA, PDP, ModelSpec("delta", 0.3, 1.7), ModelSpec("pdp", 2.5, 0.4)):
+        for signs in SECTORS:
+            table = compute_coefficients(MOMENTA[n], model, ScalarSector(n, *signs)).table
+            oracle = closed_form_table(MOMENTA[n], model, *signs)
+            np.testing.assert_allclose(table[:, 0], oracle, rtol=0, atol=1e-14)
+
+
+def test_non_finite_initial_vector_is_rejected():
+    initial = np.zeros(8, dtype=complex)
+    initial[0] = 1.0
+    initial[3] = np.nan
+    with pytest.raises(InputError):
+        compute_coefficients(K2, DELTA, regular_rep(2), initial=initial)
+    for bad in (np.nan, np.inf, complex(1.0, -np.inf)):
+        with pytest.raises(InputError):
+            compute_coefficients(K2, DELTA, ScalarSector(2, 1, 1), initial=[bad])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_crosscheck_residual_fails_the_build():
+    # k_b + k_a overflows to inf, its factor is NaN and so is every
+    # cross-check through it; at 1e-12 a NaN residual is not a pass
+    huge = Momenta((1e308, 1.5e308))
+    for rep in (ScalarSector(2, 1, 1), regular_rep(2)):
+        with pytest.raises(InconsistencyError) as info:
+            compute_coefficients(huge, DELTA, rep)
+        assert np.isnan(info.value.residual)
 
 
 def test_delta_regular_crosschecks_are_tiny():
@@ -194,3 +237,15 @@ def test_wedge_data_regular_uses_group_column():
     # carried momenta are the group orbit of k: every row is a signed permutation of k
     mags = np.sort(np.abs(carried), axis=1)
     np.testing.assert_allclose(mags, np.tile(np.sort(np.abs(K2.array)), (8, 1)))
+
+
+def test_wedge_data_is_the_composed_orbit_bit_for_bit():
+    coeffs = compute_coefficients(K4, PDP, ScalarSector(4, -1, 1))
+    k = K4.array
+    for wedge in coeffs.group.elements[::37]:
+        carried, column = coeffs.wedge_data(wedge)
+        winv = wedge.inverse()
+        expected = np.array([(p * winv).apply(k) for p in coeffs.group.elements])
+        np.testing.assert_array_equal(carried, expected)
+        assert carried.flags.c_contiguous
+        np.testing.assert_array_equal(column, coeffs.table[:, 0] * coeffs.rep.value(wedge))

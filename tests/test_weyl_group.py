@@ -9,6 +9,7 @@ from halfline_bethe import (
     BoundaryPointError,
     CapacityError,
     SignedPermutation,
+    WeylGroup,
     classify_wedge,
     enumerate_group,
     evaluate_word,
@@ -158,3 +159,54 @@ def test_validation_rejects_malformed_elements():
         SignedPermutation((1, 2), (0, 1))
     with pytest.raises(ValueError):
         SignedPermutation((1,), (0, 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_walk_plan_neighbours_are_the_letter_right_tables(n):
+    group = weyl_group(n)
+    plan = group.walk_plan
+    assert list(plan.tables) == list(generator_letters(n))
+    for letter, column in plan.tables.items():
+        np.testing.assert_array_equal(column, group.right_table(letter_element(letter, n)))
+        assert group.letter_table(letter) is column
+    np.testing.assert_array_equal(plan.codes % n, [g.perm for g in group.elements])
+    np.testing.assert_array_equal(plan.codes >= n, [np.less(g.signs, 0) for g in group.elements])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_walk_plan_follows_the_breadth_first_walk(n):
+    # reference: visit the frontier by index, letters in generator order,
+    # and keep the first word that reaches each element
+    group = weyl_group(n)
+    letters = generator_letters(n)
+    words = {0: ()}
+    frontier, tree, checks = [0], [], []
+    while frontier:
+        level_tree, level_checks, next_frontier = [], [], []
+        for src in sorted(frontier):
+            for j, letter in enumerate(letters):
+                dst = group.index_of(group.elements[src] * letter_element(letter, n))
+                if dst in words:
+                    level_checks.append((src, dst, j))
+                else:
+                    words[dst] = words[src] + (letter,)
+                    level_tree.append((src, dst, j))
+                    next_frontier.append(dst)
+        tree.append(level_tree)
+        checks.append(level_checks)
+        frontier = next_frontier
+    plan = group.walk_plan
+    assert plan.words == tuple(words[i] for i in range(group.order))
+    assert len(plan.levels) == len(tree)
+    for (got_tree, got_checks), want_tree, want_checks in zip(plan.levels, tree, checks):
+        for got, want in ((got_tree, want_tree), (got_checks, want_checks)):
+            assert list(zip(got.src.tolist(), got.dst.tolist(), got.letter.tolist())) == want
+
+
+def test_walk_plan_is_built_on_first_use():
+    group = WeylGroup(3)
+    assert "walk_plan" not in vars(group)
+    group.letter_table("T1")
+    assert "walk_plan" in vars(group)
+    with pytest.raises(IndexError):
+        group.letter_table("T3")
