@@ -83,7 +83,6 @@ from .weyl_group import (
     enumerate_group,
     evaluate_word,
     weyl_group,
-    word_for,
 )
 
 __version__ = "0.1.0"

@@ -69,13 +69,6 @@ class BoundaryProbe:
     point: tuple[float, ...]
 
 
-def _wedge_frame_point(wedge: SignedPermutation, frame: np.ndarray) -> np.ndarray:
-    x = np.empty(wedge.n)
-    for slot in range(wedge.n):
-        x[wedge.perm[slot]] = wedge.signs[slot] * frame[slot]
-    return x
-
-
 def pair_probe(wedge: SignedPermutation, contact: int, rng) -> BoundaryProbe:
     """Random point on the pair-contact facet at `contact` (1-based),
     keeping all other frame gaps and the wall distance at least
@@ -85,16 +78,14 @@ def pair_probe(wedge: SignedPermutation, contact: int, rng) -> BoundaryProbe:
         raise GeometryError(f"contact slot {contact} out of range 1..{n - 1}")
     frame = np.cumsum(DEFAULT_MARGIN + rng.uniform(DEFAULT_MARGIN, 1.0, size=n))
     frame[contact] = frame[contact - 1]
-    return BoundaryProbe(
-        "pair", wedge, contact, tuple(_wedge_frame_point(wedge, frame))
-    )
+    return BoundaryProbe("pair", wedge, contact, tuple(wedge.inverse().apply(frame)))
 
 
 def wall_probe(wedge: SignedPermutation, rng) -> BoundaryProbe:
     """Random point on the wall facet of the wedge (first frame coordinate 0)."""
     frame = np.cumsum(DEFAULT_MARGIN + rng.uniform(DEFAULT_MARGIN, 1.0, size=wedge.n))
     frame -= frame[0]
-    return BoundaryProbe("wall", wedge, None, tuple(_wedge_frame_point(wedge, frame)))
+    return BoundaryProbe("wall", wedge, None, tuple(wedge.inverse().apply(frame)))
 
 
 def check_pair_boundary(coeffs: BetheCoefficients, probe: BoundaryProbe) -> tuple[float, float]:

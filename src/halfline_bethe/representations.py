@@ -22,6 +22,9 @@ import numpy as np
 from .errors import InputError
 from .weyl_group import SignedPermutation, WeylGroup, weyl_group
 
+# the inventory only counts partitions, so it runs past the group's limit
+MAX_INVENTORY_PARTICLES = 6
+
 
 def perm_parity(perm) -> int:
     """Inversion-count parity: 0 for even permutations, 1 for odd."""
@@ -224,10 +227,10 @@ class DimensionSumReport:
         return self.sum_of_squares == self.group_order
 
 
-def dimension_sum_check(n: int, max_n: int = 6) -> DimensionSumReport:
+def dimension_sum_check(n: int) -> DimensionSumReport:
     """Verify that the squared induced dimensions sum to 2^n n!."""
-    if not 1 <= n <= max_n:
-        raise InputError(f"n={n} must lie in 1..{max_n}")
+    if not 1 <= n <= MAX_INVENTORY_PARTICLES:
+        raise InputError(f"n={n} must lie in 1..{MAX_INVENTORY_PARTICLES}")
     inventory = irrep_inventory(n)
     total = sum(d.dimension**2 for d in inventory)
     return DimensionSumReport(

@@ -48,7 +48,6 @@ from .weyl_group import (
     generator_letters,
     letter_element,
     weyl_group,
-    word_for,
 )
 
 MOMENTUM_SEPARATION = 1e-12
@@ -65,6 +64,10 @@ class Momenta:
         k = np.asarray(self.values, dtype=float)
         if k.ndim != 1 or k.size < 1 or not np.all(np.isfinite(k)):
             raise InputError(f"momenta must be finite, nonempty and 1-d: {self.values}")
+        # a finite energy also keeps every transfer +-k_a +- k_b finite
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.sum(k**2)):
+                raise InputError(f"the energy sum of k^2 overflows: {self.values}")
         mags = np.sort(np.abs(k))
         if mags[0] <= MOMENTUM_SEPARATION:
             raise DegenerateMomentaError(f"momentum too close to zero: {self.values}")
@@ -115,7 +118,7 @@ class BetheCoefficients:
     @cached_property
     def _frames(self) -> np.ndarray:
         """Row q is elements[q].apply(k)."""
-        return _signed(self.momenta.array)[self.group.walk_plan.codes]
+        return _signed(self.momenta.array)[self.group.codes]
 
     def wedge_data(self, wedge: SignedPermutation):
         """Per-wedge evaluation data: the effective momentum row for each P
@@ -150,7 +153,7 @@ def _initial_vector(rep, group, initial) -> np.ndarray:
 
 
 def _signed(k: np.ndarray) -> np.ndarray:
-    """(k, -k), indexed by the walk plan's slot codes."""
+    """(k, -k), indexed by the group's slot codes."""
     return np.concatenate([k, -k])
 
 
@@ -336,9 +339,10 @@ def word_independence_test(
 ) -> float:
     """Max coefficient difference between two words for the same element.
 
-    Each trial picks a random element, takes its canonical word and a
-    relation-rewritten variant, carries the initial coefficient along both,
-    and compares.  Small residuals certify path independence directly.
+    Each trial picks a random element, takes its shortest word from the
+    walk plan and a relation-rewritten variant, carries the initial
+    coefficient along both, and compares.  Small residuals certify path
+    independence directly.
     """
     momenta = momenta if isinstance(momenta, Momenta) else Momenta(tuple(momenta))
     n = momenta.n
@@ -346,8 +350,9 @@ def word_independence_test(
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        element = group.elements[int(rng.integers(0, group.order))]
-        base = word_for(element)
+        index = int(rng.integers(0, group.order))
+        element = group.elements[index]
+        base = group.walk_plan.words[index]
         variant = base
         for _ in range(int(rng.integers(1, 4))):
             variant = _rewritten_word(variant, n, rng)

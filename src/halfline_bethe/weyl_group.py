@@ -137,51 +137,15 @@ def evaluate_word(word, n: int) -> SignedPermutation:
     return out
 
 
-def word_for(g: SignedPermutation) -> tuple[str, ...]:
-    """A deterministic generator word evaluating to g.
-
-    Reduces g to the identity by right multiplications (clear each negative
-    sign by walking it to the first slot, flipping, and walking back, then
-    bubble-sort the permutation); the recorded letters, reversed, spell g
-    because every generator is an involution.
-    """
-    letters = []
-    cur = g
-
-    def step(letter):
-        nonlocal cur
-        cur = cur * letter_element(letter, g.n)
-        letters.append(letter)
-
-    for _ in range(g.n):
-        if all(s == 1 for s in cur.signs):
-            break
-        j = next(i for i, s in enumerate(cur.signs) if s == -1)
-        for t in range(j, 0, -1):
-            step(f"T{t}")
-        step(WORD_LETTER_WALL)
-        for t in range(1, j + 1):
-            step(f"T{t}")
-    changed = True
-    while changed:
-        changed = False
-        for t in range(1, g.n):
-            if cur.perm[t - 1] > cur.perm[t]:
-                step(f"T{t}")
-                changed = True
-    assert cur.is_identity()
-    return tuple(reversed(letters))
-
-
-def enumerate_group(n: int, max_n: int = MAX_PARTICLES) -> tuple[SignedPermutation, ...]:
+def enumerate_group(n: int) -> tuple[SignedPermutation, ...]:
     """All 2^n * n! signed permutations, ordered by (perm, sign pattern).
 
     The sign pattern orders +1 before -1, so the identity comes first.
     """
     if n < 1:
         raise ValueError("need at least one coordinate")
-    if n > max_n:
-        raise CapacityError(f"n={n} exceeds the configured maximum {max_n}")
+    if n > MAX_PARTICLES:
+        raise CapacityError(f"n={n} exceeds the configured maximum {MAX_PARTICLES}")
     return tuple(
         SignedPermutation(signs, perm)
         for perm in sorted(itertools.permutations(range(n)))
@@ -206,23 +170,22 @@ class WalkPlan:
     by index and their letters in generator_letters order; an element's
     tree edge is the first edge that reaches it.
 
-    Slot j of element q holds the signed momentum ks[codes[q, j]], where
-    ks = (k, -k): elements[q].apply(k) == ks[codes[q]].  The edge of letter
-    T_i ending at an element with codes c carries u = ks[c[i]] - ks[c[i-1]]
-    and has root code c[i] * 2n + c[i-1]; an R1 edge carries u = 2 ks[c[0]]
-    and has root code 4n^2 + c[0].
+    With c = codes[dst] (WeylGroup.codes) and ks = (k, -k), the edge of
+    letter T_i carries u = ks[c[i]] - ks[c[i-1]] and has root code
+    c[i] * 2n + c[i-1]; an R1 edge carries u = 2 ks[c[0]] and has root code
+    4n^2 + c[0].
     """
 
-    codes: np.ndarray  # (order, n): perm, plus n where the sign is -1
     tables: dict[str, np.ndarray]  # right table of each generator letter
     levels: tuple[tuple[Edges, Edges], ...]  # per level: tree edges to the
     # next level, then every other edge leaving the level (the cross-checks)
     words: tuple[tuple[str, ...], ...]  # the tree path to each element
 
 
-def _rank(codes: np.ndarray, n: int) -> np.ndarray:
+def _rank(codes: np.ndarray) -> np.ndarray:
     """enumerate_group index of each row of slot codes: the Lehmer rank of
     the permutation, then the sign bits with the first slot highest."""
+    n = codes.shape[1]
     perms = codes % n
     rank = np.zeros(len(codes), dtype=np.intp)
     for j in range(n):
@@ -236,23 +199,16 @@ def _rank(codes: np.ndarray, n: int) -> np.ndarray:
 def _walk_plan(group: WeylGroup) -> WalkPlan:
     # Whole-array steps keep the one-time cost near 25 ms at N=5; no numpy
     # sort or unique runs, since the first call of each raises peak memory.
-    n, order = group.n, group.order
-    signs = np.array([g.signs for g in group.elements])
-    perms = np.array([g.perm for g in group.elements], dtype=np.intp)
-    codes = np.where(signs < 0, perms + n, perms)
-    neighbours = np.empty((n, order), dtype=np.intp)
-    roots = np.empty((n, order), dtype=np.intp)
-    for t in range(n - 1):  # letter T{t+1} swaps slots t and t+1
-        moved = codes.copy()
-        moved[:, [t, t + 1]] = codes[:, [t + 1, t]]
-        neighbours[t] = _rank(moved, n)
-        roots[t] = moved[:, t + 1] * 2 * n + moved[:, t]
-    moved = codes.copy()
-    moved[:, 0] = (codes[:, 0] + n) % (2 * n)
-    neighbours[n - 1] = _rank(moved, n)
-    roots[n - 1] = 4 * n * n + moved[:, 0]
-
+    n, order, codes = group.n, group.order, group.codes
     letters = generator_letters(n)
+    neighbours = np.array([group.right_table(letter_element(letter, n)) for letter in letters])
+    # one column gather per letter; codes[neighbours] would cost an
+    # (n, order, n) temporary
+    roots = np.empty_like(neighbours)
+    for t in range(n - 1):
+        roots[t] = codes[neighbours[t], t + 1] * 2 * n + codes[neighbours[t], t]
+    roots[n - 1] = 4 * n * n + codes[neighbours[n - 1], 0]
+
     depth = np.full(order, -1)
     parent = np.full(order, -1)
     via = np.full(order, -1)
@@ -282,41 +238,43 @@ def _walk_plan(group: WeylGroup) -> WalkPlan:
         levels.append(tuple(Edges(*(a[m].astype(np.int32) for a in edges))
                             for m in (tree, ~tree)))
         frontier, d = kids, d + 1
-    return WalkPlan(codes, dict(zip(letters, neighbours)), tuple(levels), tuple(words))
+    return WalkPlan(dict(zip(letters, neighbours)), tuple(levels), tuple(words))
 
 
 class WeylGroup:
-    """Enumerated signed-permutation group with index lookup, right-
-    multiplication tables (the ingredients of the regular action) and the
-    walk plan of the coefficient recursion, built on first use."""
+    """Enumerated signed-permutation group with index lookup and, built on
+    first use, its slot codes (the array form every right-multiplication
+    table is computed from) and the walk plan of the coefficient
+    recursion."""
 
-    def __init__(self, n: int, max_n: int = MAX_PARTICLES):
+    def __init__(self, n: int):
         self.n = n
-        self.elements = enumerate_group(n, max_n)
+        self.elements = enumerate_group(n)
         self.order = len(self.elements)
         self._index = {g: i for i, g in enumerate(self.elements)}
-        self._tables: dict[SignedPermutation, np.ndarray] = {}
-
-    def __len__(self) -> int:
-        return self.order
-
-    def __iter__(self):
-        return iter(self.elements)
 
     def index_of(self, g: SignedPermutation) -> int:
         return self._index[g]
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """Slot codes, shape (order, n): codes[q, j] is perm[j] of
+        elements[q], plus n where its sign is -1, so that with ks = (k, -k)
+        elements[q].apply(k) == ks[codes[q]]."""
+        signs = np.array([g.signs for g in self.elements])
+        perms = np.array([g.perm for g in self.elements], dtype=np.intp)
+        return np.where(signs < 0, perms + self.n, perms)
 
     def right_table(self, g: SignedPermutation) -> np.ndarray:
         """Index table t with t[i] = index of elements[i] * g.
 
         Composing a coefficient vector with this table applies the regular
-        action of g without building a dense matrix.
+        action of g without building a dense matrix.  Slot j of
+        elements[i] * g is slot g.perm[j] of elements[i], negated where
+        g.signs[j] is -1, and negating a signed momentum moves its code by n.
         """
-        if g not in self._tables:
-            self._tables[g] = np.array(
-                [self._index[q * g] for q in self.elements], dtype=np.intp
-            )
-        return self._tables[g]
+        moved = self.codes[:, list(g.perm)]
+        return _rank(np.where(np.less(g.signs, 0), (moved + self.n) % (2 * self.n), moved))
 
     @cached_property
     def walk_plan(self) -> WalkPlan:
@@ -332,8 +290,8 @@ class WeylGroup:
 
 
 @lru_cache(maxsize=None)
-def weyl_group(n: int, max_n: int = MAX_PARTICLES) -> WeylGroup:
-    return WeylGroup(n, max_n)
+def weyl_group(n: int) -> WeylGroup:
+    return WeylGroup(n)
 
 
 def classify_wedge(x) -> SignedPermutation:

@@ -241,6 +241,8 @@ def test_out_files_are_byte_identical_across_runs(tmp_path, capsys):
         # non-finite or non-positive inputs
         "verify boundary --N 2 --k nan,1.0",
         "verify boundary --N 2 --k 1.0,inf",
+        "build --N 2 --k 1e200,2e200",  # finite momenta whose energy overflows
+        "build --N 2 --k 1e308,1.5e308",
         "verify boundary --N 2 --c1 inf",
         "verify boundary --c1 0",
         "build --model pdp --lambda2 nan",

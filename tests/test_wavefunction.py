@@ -19,6 +19,7 @@ from halfline_bethe import (
     weyl_group,
     word_independence_test,
 )
+from halfline_bethe import wavefunction
 from halfline_bethe.wavefunction import coefficient_along_word
 
 DELTA = ModelSpec("delta", 1.0, 2.0)
@@ -41,6 +42,9 @@ def test_momenta_validation():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError):
             Momenta((1.0, bad))
+    for huge in ((1e200, 2e200), (1e308, 1.5e308)):  # the energy overflows
+        with pytest.raises(InputError):
+            Momenta(huge)
     assert Momenta((1.0, 2.0)).energy == pytest.approx(5.0)
 
 
@@ -85,14 +89,24 @@ def test_non_finite_initial_vector_is_rejected():
             compute_coefficients(K2, DELTA, ScalarSector(2, 1, 1), initial=[bad])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_crosscheck_residual_fails_the_build():
-    # k_b + k_a overflows to inf, its factor is NaN and so is every
-    # cross-check through it; at 1e-12 a NaN residual is not a pass
-    huge = Momenta((1e308, 1.5e308))
+def test_non_finite_crosscheck_residual_fails_the_build(monkeypatch):
+    # a NaN factor on a root only cross-checks use makes their residual
+    # NaN; at 1e-12 a NaN residual is not a pass
+    levels = weyl_group(2).walk_plan.levels
+    tree_roots = np.concatenate([tree.root for tree, _ in levels])
+    check_roots = np.concatenate([checks.root for _, checks in levels])
+    root = int(np.setdiff1d(check_roots, tree_roots)[0])
+    real = wavefunction._root_factors
+
+    def with_nan(*args):
+        diag, off = real(*args)
+        diag[root] = np.nan
+        return diag, off
+
+    monkeypatch.setattr(wavefunction, "_root_factors", with_nan)
     for rep in (ScalarSector(2, 1, 1), regular_rep(2)):
         with pytest.raises(InconsistencyError) as info:
-            compute_coefficients(huge, DELTA, rep)
+            compute_coefficients(K2, DELTA, rep)
         assert np.isnan(info.value.residual)
 
 

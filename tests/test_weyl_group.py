@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfline_bethe import (
     BoundaryPointError,
@@ -14,9 +16,8 @@ from halfline_bethe import (
     enumerate_group,
     evaluate_word,
     weyl_group,
-    word_for,
 )
-from halfline_bethe.weyl_group import generator_letters, letter_element
+from halfline_bethe.weyl_group import _rank, generator_letters, letter_element
 
 
 def test_identity():
@@ -95,21 +96,41 @@ def test_index_roundtrip():
         assert group.index_of(g) == i
 
 
+def product_table(group, g):
+    """Reference right table from object products: index of q * g per q."""
+    return np.array([group.index_of(q * g) for q in group.elements])
+
+
 def test_right_table_matches_products():
-    group = weyl_group(2)
-    for g in group.elements:
-        table = group.right_table(g)
-        for i, q in enumerate(group.elements):
-            assert table[i] == group.index_of(q * g)
+    # every g up to N=3 and 20 seeded g beyond; the letters are checked in
+    # test_walk_plan_neighbours_are_the_letter_right_tables
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3, 4, 5):
+        group = weyl_group(n)
+        picks = range(group.order) if n <= 3 else rng.integers(0, group.order, 20)
+        for i in picks:
+            g = group.elements[i]
+            np.testing.assert_array_equal(group.right_table(g), product_table(group, g))
 
 
-def test_word_roundtrip():
-    n = 3
-    letters = set(generator_letters(n))
-    for g in enumerate_group(n):
-        word = word_for(g)
-        assert set(word) <= letters
-        assert evaluate_word(word, n) == g
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_walk_plan_words_are_shortest_words(n):
+    # each word spells its element and is as long as the element's
+    # breadth-first distance from the identity in the Cayley graph
+    group = weyl_group(n)
+    letters = [letter_element(letter, n) for letter in generator_letters(n)]
+    identity = group.elements[0]
+    depth, frontier, d = {identity: 0}, [identity], 0
+    while frontier:
+        d += 1
+        reached = dict.fromkeys(g * t for g in frontier for t in letters)
+        frontier = [g for g in reached if g not in depth]
+        depth.update(dict.fromkeys(frontier, d))
+    words = group.walk_plan.words
+    for q, g in enumerate(group.elements):
+        assert set(words[q]) <= set(generator_letters(n))
+        assert evaluate_word(words[q], n) == g
+        assert len(words[q]) == depth[g]
 
 
 def test_letter_element_rejects_bad_letters():
@@ -167,10 +188,28 @@ def test_walk_plan_neighbours_are_the_letter_right_tables(n):
     plan = group.walk_plan
     assert list(plan.tables) == list(generator_letters(n))
     for letter, column in plan.tables.items():
-        np.testing.assert_array_equal(column, group.right_table(letter_element(letter, n)))
+        np.testing.assert_array_equal(column, product_table(group, letter_element(letter, n)))
         assert group.letter_table(letter) is column
-    np.testing.assert_array_equal(plan.codes % n, [g.perm for g in group.elements])
-    np.testing.assert_array_equal(plan.codes >= n, [np.less(g.signs, 0) for g in group.elements])
+    np.testing.assert_array_equal(group.codes % n, [g.perm for g in group.elements])
+    np.testing.assert_array_equal(group.codes >= n, [np.less(g.signs, 0) for g in group.elements])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_codes_rank_to_their_own_indices(n):
+    group = weyl_group(n)
+    np.testing.assert_array_equal(_rank(group.codes), np.arange(group.order))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_right_tables_compose_as_the_group(n, data):
+    # v[rt(g)][rt(h)] == v[rt(h * g)]: the right action is a homomorphism
+    group = weyl_group(n)
+    g, h = (group.elements[data.draw(st.integers(0, group.order - 1))] for _ in range(2))
+    v = np.arange(group.order)
+    np.testing.assert_array_equal(v[group.right_table(g)][group.right_table(h)],
+                                  v[group.right_table(h * g)])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
