@@ -23,6 +23,13 @@ one-sided condition selected by eps_r:
     delta:  2 dpsi/dx_j = c2 psi   (eps_r = +1),    psi = 0        (eps_r = -1),
     pdp:    dpsi/dx_j = 0          (eps_r = +1),    psi = 2 lam2 dpsi/dx_j  (-1).
 
+`check_halfline_reduction` evaluates the N origin points of one table (x_j
+slid to 0, for each j) in one batch without wedge data: the phase of A_P
+factors over the slots of the sorted frame, exp(i <k_P, z>) = prod_m
+exp(i ks[codes[P, m]] z_m) with ks = (k, -k).  A point then costs 2N(N-1)
+complex exponentials and about two products per group element, where
+evaluate_psi takes one exponential per group element.
+
 `boundary_sweep` checks these conditions at random facet points of random
 wedges and judges the worst residual.  Finally, the boson delta table at
 couplings (c1, c2) equals the fermion pdp table at (1/c1, 1/c2), and the two
@@ -145,41 +152,74 @@ def check_wall_boundary(coeffs: BetheCoefficients, probe: BoundaryProbe) -> tupl
     return r_match, r_jump
 
 
+def _origin_values(coeffs: BetheCoefficients, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """psi and d psi/dx_j at x with x_j set to 0, for every j at once, up
+    to the sector value of the wedge (+-1, which no residual sees).
+
+    Sorted, the point with x_j = 0 is the frame of a wedge with every sign
+    +1 and the 0 in slot 0, so d/dx_j is the slot-0 derivative there.  A
+    plane wave factors over the slots, exp(i <k_P, z>) = prod_m
+    exp(i ks[codes[P, m]] z_m) with ks = (k, -k), and its slot-0 factor is
+    1.  enumerate_group lists the 2^n sign patterns of each permutation
+    together, slot 0 slowest, so the sum over P runs per permutation as
+    nested sums over the sign of each slot, the last slot first.
+    """
+    n = x.size
+    k = coeffs.momenta.array
+    order = np.argsort(x)
+    m = np.arange(n - 1)
+    # row r: slots 1.. of the frame of the point whose zeroed coordinate has rank r
+    rest = x[order][m + (m >= np.arange(n)[:, None])]
+    waves = np.exp(1j * (rest[:, :, None] * np.concatenate([k, -k])))  # (rank, slot - 1, code)
+    heads = coeffs.group.codes[:: 2**n]  # codes of each permutation with signs all +1
+    perms = len(heads)
+    terms = np.ascontiguousarray(coeffs.table[:, 0].reshape(perms, -1).T)[None]  # (1, signs, perm)
+    for slot in range(n - 1, 0, -1):
+        factors = np.take(waves[:, slot - 1], heads[:, slot] + [[0], [n]], axis=1)
+        pair = terms.reshape(len(terms), -1, 2, perms)
+        terms = pair[:, :, 0] * factors[:, None, 0] + pair[:, :, 1] * factors[:, None, 1]
+    # slot-0 sign +1 and -1, (rank, perm); adding them first makes the sum
+    # of an odd wall sector cancel exactly
+    plus, minus = terms[:, 0], terms[:, 1]
+    values, slopes = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+    values[order] = (plus + minus).sum(axis=1)
+    slopes[order] = 1j * ((plus - minus) * k[heads[:, 0]]).sum(axis=1)
+    return values, slopes
+
+
 def check_halfline_reduction(coeffs: BetheCoefficients, x) -> tuple[float, ...]:
     """One-sided origin conditions of a scalar-sector wavefunction.
 
-    `x` must be interior to the positive region (all coordinates strictly
-    positive and distinct).  For each coordinate the check slides that
-    coordinate to 0, evaluates psi and its gradient one-sidedly, and returns
-    the residual of the sector's origin condition.
+    `x` must be interior to the positive region: finite, strictly positive
+    and pairwise-distinct coordinates (else InputError or GeometryError;
+    a point of the wrong shape raises ValueError).  For each coordinate
+    the check slides that coordinate to 0, evaluates psi and its slope
+    one-sidedly, and returns the residual of the sector's origin condition.
     """
     if not isinstance(coeffs.rep, ScalarSector):
         raise ValueError("half-line reduction applies to scalar sectors only")
     x = np.asarray(x, dtype=float)
+    if x.shape != (coeffs.momenta.n,):
+        raise ValueError(f"point must have shape ({coeffs.momenta.n},)")
+    if not np.all(np.isfinite(x)):
+        raise InputError("point must have finite coordinates")
     if np.any(x <= 0):
         raise GeometryError("point must have strictly positive coordinates")
+    if np.any(np.diff(np.sort(x)) == 0):
+        raise GeometryError("point must have pairwise-distinct coordinates")
+    values, slopes = _origin_values(coeffs, x)
     model = coeffs.model
-    eps_r = coeffs.rep.eps_r
-    out = []
-    for j in range(coeffs.momenta.n):
-        y = x.copy()
-        y[j] = 0.0
-        order = np.argsort(np.abs(y), kind="stable")
-        wedge = SignedPermutation((1,) * coeffs.momenta.n, tuple(int(q) for q in order))
-        sample = evaluate_psi(coeffs, y, wedge=wedge)
-        slope = sample.gradient[j]
-        if model.kind == MODEL_DELTA:
-            if eps_r == 1:
-                res = abs(2.0 * slope - model.wall_coupling * sample.value)
-            else:
-                res = abs(sample.value)
+    if model.kind == MODEL_DELTA:
+        if coeffs.rep.eps_r == 1:
+            residuals = np.abs(2.0 * slopes - model.wall_coupling * values)
         else:
-            if eps_r == 1:
-                res = abs(slope)
-            else:
-                res = abs(sample.value - 2.0 * model.wall_coupling * slope)
-        out.append(float(res))
-    return tuple(out)
+            residuals = np.abs(values)
+    else:
+        if coeffs.rep.eps_r == 1:
+            residuals = np.abs(slopes)
+        else:
+            residuals = np.abs(values - 2.0 * model.wall_coupling * slopes)
+    return tuple(residuals.tolist())
 
 
 @dataclass(frozen=True)

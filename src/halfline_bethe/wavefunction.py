@@ -16,10 +16,11 @@ Every u is one of the 4N(N-1) + 2N transfers +-k_a +- k_b and +-2 k_a, so a
 build evaluates one operator factor per transfer and then follows the
 group's fixed breadth-first walk (WeylGroup.walk_plan): level by level, each
 element is its tree parent's coefficient times the factor of the tree edge.
-Every other Cayley edge is a cross-check of the stored values; a
+Every other Cayley edge (WalkPlan.checks) is a cross-check of the stored
+values, in a sector all of them in one pass once the table is filled; a
 disagreement beyond tolerance, or one that is not finite, means the
 operator family is inconsistent and raises InconsistencyError with the two
-generator words as witness.
+generator words of the first such edge in walk order as witness.
 """
 
 from __future__ import annotations
@@ -184,16 +185,18 @@ def _root_factors(model: ModelSpec, rep, k: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _walk_sector(plan, column, diag):
-    """Fill a one-dimensional table level by level; yield each level's
-    cross-check residuals once the level after it is filled."""
-    for tree, checks in plan.levels:
+    """Fill a one-dimensional table level by level; return the residual of
+    every cross-check edge (plan.checks)."""
+    for tree, _ in plan.levels:
         column[tree.dst] = diag[tree.root] * column[tree.src]
-        yield np.abs(diag[checks.root] * column[checks.src] - column[checks.dst])
+    checks = plan.checks
+    return np.abs(diag[checks.root] * column[checks.src] - column[checks.dst])
 
 
-def _walk_regular(plan, table, diag, off):
+def _walk_regular(plan, table, diag, off, tol):
     """As _walk_sector, one row at a time, each step applied as
-    RepOperator.apply applies it."""
+    RepOperator.apply applies it.  The walk stops after the first level
+    with a residual above tol, so the residuals may end there."""
     diag, off = diag.tolist(), off.tolist()
     tables = list(plan.tables.values())
 
@@ -201,11 +204,16 @@ def _walk_regular(plan, table, diag, off):
         v = table[src]
         return diag[root] * v + off[root] * v[tables[letter]]
 
+    residuals = []
     for tree, checks in plan.levels:
         for src, dst, letter, root in zip(*(a.tolist() for a in tree)):
             table[dst] = carry(src, letter, root)
-        yield np.array([np.max(np.abs(carry(src, letter, root) - table[dst]))
-                        for src, dst, letter, root in zip(*(a.tolist() for a in checks))])
+        level = [np.max(np.abs(carry(src, letter, root) - table[dst]))
+                 for src, dst, letter, root in zip(*(a.tolist() for a in checks))]
+        residuals += level
+        if not all(r <= tol for r in level):
+            break
+    return np.array(residuals)
 
 
 def compute_coefficients(
@@ -239,22 +247,20 @@ def compute_coefficients(
     table[0] = _initial_vector(rep, group, initial)
     diag, off = _root_factors(model, rep, momenta.array)
     if isinstance(rep, ScalarSector):
-        residuals = _walk_sector(plan, table[:, 0], diag)
+        diffs = _walk_sector(plan, table[:, 0], diag)
     else:
-        residuals = _walk_regular(plan, table, diag, off)
+        diffs = _walk_regular(plan, table, diag, off, crosscheck_tol)
 
-    max_crosscheck = 0.0
-    for (_, checks), diffs in zip(plan.levels, residuals):
-        failed = np.flatnonzero(~(diffs <= crosscheck_tol))
-        if failed.size:
-            e = failed[0]
-            src, dst = checks.src[e], checks.dst[e]
-            letter = generator_letters(momenta.n)[checks.letter[e]]
-            raise InconsistencyError(
-                group.elements[dst], plan.words[dst], plan.words[src] + (letter,), diffs[e]
-            )
-        if diffs.size:
-            max_crosscheck = max(max_crosscheck, float(diffs.max()))
+    failed = np.flatnonzero(~(diffs <= crosscheck_tol))
+    if failed.size:
+        e = failed[0]
+        checks = plan.checks
+        src, dst = checks.src[e], checks.dst[e]
+        letter = generator_letters(momenta.n)[checks.letter[e]]
+        raise InconsistencyError(
+            group.elements[dst], plan.words[dst], plan.words[src] + (letter,), diffs[e]
+        )
+    max_crosscheck = float(diffs.max(initial=0.0))
 
     return BetheCoefficients(
         momenta, model, rep, group, table, plan.words, max_crosscheck

@@ -179,6 +179,7 @@ class WalkPlan:
     tables: dict[str, np.ndarray]  # right table of each generator letter
     levels: tuple[tuple[Edges, Edges], ...]  # per level: tree edges to the
     # next level, then every other edge leaving the level (the cross-checks)
+    checks: Edges  # every level's cross-checks, concatenated in walk order
     words: tuple[tuple[str, ...], ...]  # the tree path to each element
 
 
@@ -238,7 +239,8 @@ def _walk_plan(group: WeylGroup) -> WalkPlan:
         levels.append(tuple(Edges(*(a[m].astype(np.int32) for a in edges))
                             for m in (tree, ~tree)))
         frontier, d = kids, d + 1
-    return WalkPlan(dict(zip(letters, neighbours)), tuple(levels), tuple(words))
+    checks = Edges(*(np.concatenate(parts) for parts in zip(*(c for _, c in levels))))
+    return WalkPlan(dict(zip(letters, neighbours)), tuple(levels), checks, tuple(words))
 
 
 class WeylGroup:

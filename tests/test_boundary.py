@@ -3,10 +3,12 @@ and the strong-weak duality between the two models."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from halfline_bethe import boundary
 from halfline_bethe import (
     BoundarySweep,
     GeometryError,
@@ -162,8 +164,84 @@ def test_halfline_reduction_input_validation():
     with pytest.raises(ValueError):
         check_halfline_reduction(coeffs, [1.0, 2.0])
     sector = compute_coefficients(K2, DELTA, ScalarSector(2, 1, 1))
-    with pytest.raises(GeometryError):
-        check_halfline_reduction(sector, [-1.0, 2.0])
+    for bad in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="shape"):
+            check_halfline_reduction(sector, bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ([float("nan"), 1.0], [1.0, float("inf")], [-float("inf"), 2.0]):
+            with pytest.raises(InputError, match="finite"):
+                check_halfline_reduction(sector, bad)
+    for bad in ([-1.0, 2.0], [0.0, 2.0]):
+        with pytest.raises(GeometryError, match="positive"):
+            check_halfline_reduction(sector, bad)
+    with pytest.raises(GeometryError, match="distinct"):
+        check_halfline_reduction(sector, [1.5, 1.5])
+    three = compute_coefficients(K3, DELTA, ScalarSector(3, 1, 1))
+    with pytest.raises(GeometryError, match="distinct"):
+        check_halfline_reduction(three, [1.0, 1.0, 2.0])
+
+
+# N = 1..5, with a negative momentum at N = 4 and 5
+ORIGIN_MOMENTA = {1: (0.8,), 2: (1.1, 2.3), 3: (0.7, 1.9, 3.2), 4: (0.6, -1.45, 2.2, 3.7),
+                  5: (0.45, 1.3, -2.05, 2.9, 3.7)}
+
+
+def origin_reference(coeffs, x):
+    """psi and d psi/dx_j at x with x_j set to 0, one evaluate_psi per
+    coordinate in the wedge of the sorted point, without that wedge's
+    sector value (the half-line check before it was batched)."""
+    values, slopes = [], []
+    for j in range(len(x)):
+        y = np.array(x, dtype=float)
+        y[j] = 0.0
+        order = np.argsort(np.abs(y), kind="stable")
+        wedge = SignedPermutation((1,) * y.size, tuple(int(q) for q in order))
+        sample = evaluate_psi(coeffs, y, wedge=wedge)
+        chi = coeffs.rep.value(wedge)
+        values.append(chi * sample.value)
+        slopes.append(chi * sample.gradient[j])
+    return np.array(values), np.array(slopes)
+
+
+def origin_residuals(model, eps_r, values, slopes):
+    if model.kind == "delta":
+        forms = 2.0 * slopes - model.wall_coupling * values if eps_r == 1 else values
+    else:
+        forms = slopes if eps_r == 1 else values - 2.0 * model.wall_coupling * slopes
+    return np.abs(forms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("model", [DELTA, PDP], ids=["delta", "pdp"])
+def test_halfline_batch_matches_per_point_evaluation(n, model):
+    rng = np.random.default_rng(40 + n)
+    for eps_t, eps_r in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        coeffs = compute_coefficients(ORIGIN_MOMENTA[n], model, ScalarSector(n, eps_t, eps_r))
+        tol = 1e-12 * float(np.sum(np.abs(coeffs.table)))
+        for shuffled in (False, True):
+            x = np.cumsum(0.3 + rng.uniform(0.2, 1.0, size=n))
+            if shuffled:
+                x = rng.permutation(x)
+            values, slopes = boundary._origin_values(coeffs, x)
+            want_values, want_slopes = origin_reference(coeffs, x)
+            assert np.max(np.abs(values - want_values)) <= tol
+            assert np.max(np.abs(slopes - want_slopes)) <= tol
+            residuals = check_halfline_reduction(coeffs, x)
+            want = origin_residuals(model, eps_r, want_values, want_slopes)
+            assert np.max(np.abs(np.array(residuals) - want)) <= tol
+
+
+def test_halfline_reduction_sees_a_wrong_wall_coupling():
+    # psi and its slope are genuinely nonzero at the origin, so the
+    # residual of a claimed coupling other than the table's is large
+    coeffs = compute_coefficients(K3, DELTA, ScalarSector(3, 1, 1))
+    x = np.array([1.3, 0.4, 2.2])
+    values, slopes = boundary._origin_values(coeffs, x)
+    assert np.min(np.abs(values)) > 1e-3 and np.min(np.abs(slopes)) > 1e-3
+    lying = dataclasses.replace(coeffs, model=ModelSpec("delta", 1.0, 2.5))
+    assert max(check_halfline_reduction(coeffs, x)) < 1e-12
+    assert min(check_halfline_reduction(lying, x)) > 1e-3
 
 
 def test_eigen_residual_small_at_moderate_step():

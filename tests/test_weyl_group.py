@@ -240,6 +240,11 @@ def test_walk_plan_follows_the_breadth_first_walk(n):
     for (got_tree, got_checks), want_tree, want_checks in zip(plan.levels, tree, checks):
         for got, want in ((got_tree, want_tree), (got_checks, want_checks)):
             assert list(zip(got.src.tolist(), got.dst.tolist(), got.letter.tolist())) == want
+    # the cross-checks of every level, in walk order, as one array each
+    every = plan.checks
+    assert list(zip(every.src.tolist(), every.dst.tolist(), every.letter.tolist())) == [
+        edge for level in checks for edge in level]
+    np.testing.assert_array_equal(every.root, np.concatenate([c.root for _, c in plan.levels]))
 
 
 def test_walk_plan_is_built_on_first_use():
