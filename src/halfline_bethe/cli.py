@@ -320,13 +320,20 @@ def cmd_reps(args, run: _Run) -> tuple[str, bool]:
     return run.document(body), report.ok
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= 0")
+    return value
+
+
 # Flags several subcommands share; a subcommand that needs another default
 # sets it with set_defaults.
 SHARED_FLAGS = {
     "N": {"type": int, "default": 2},
     "k": {"default": None, "help": "comma-separated momenta"},
     "seed": {"type": int, "default": 0},
-    "tol": {"type": float, "default": None,
+    "tol": {"type": _tolerance, "default": None,
             "help": "residual bound for a pass (relative for verify eigen)"},
     "out": {"default": None},
 }

@@ -18,6 +18,15 @@ permutation of that one.  The max-abs over e_I is therefore the max-abs over
 the full matrix (in a one-dimensional sector e_I is the whole space).  A NaN
 residual is never dropped: it makes its relation fail.
 
+Each relation is also local: its sides use at most two generator letters,
+so (lhs - rhs) e_I lies in the group algebra of the rank <= 2 parabolic
+subgroup they generate, Z2 (unitarity), Z2 x Z2 (commuting), S_3 (braid)
+or B_2 (reflection), with the same entries at every slot and every N.  So
+each relation is read once, on the fewest particles its letters need:
+unitarity (Y_1 and Z) on min(N, 2), commuting ((Z, Y_2) and (Y_1, Y_3)) on
+min(N, 4), braid (i = 1) on 3 and reflection on 2; N only decides which
+relations apply.
+
 In the regular representation the braid identity reduces to
 a three-term relation on the coefficients,
 
@@ -49,7 +58,7 @@ from .operators import (
     wall_coeffs,
     wall_reflection_op,
 )
-from .representations import RegularRep, ScalarSector
+from .representations import RegularRep, ScalarSector, regular_rep
 
 TOL_REGULAR = 1e-12
 TOL_SECTOR = 1e-14
@@ -76,7 +85,6 @@ class ResidualReport:
     residual: float | None
     tolerance: float
     applicable: bool = True
-    note: str = ""
 
     @property
     def passed(self) -> bool | None:
@@ -97,88 +105,69 @@ def _residual(lhs: list[RepOperator], rhs: list[RepOperator], dim: int) -> float
     return float(np.max(np.abs(apply_chain(lhs, e_identity) - apply_chain(rhs, e_identity))))
 
 
-def check_unitarity(model: ModelSpec, rep, u: float, tol: float | None = None) -> ResidualReport:
-    """Y_i(-u) Y_i(u) = I for every slot, and Z(-u) Z(u) = I."""
+def _evaluate(name, params, needs, most, model, rep, tol, chains) -> ResidualReport:
+    """Worst residual of the (lhs, rhs) pairs chains(y, z, n) yields, in the
+    representation of rep's kind on n = min(N, most) particles, where y(i, x)
+    is Y_i(x) and z(x) is Z(x).  Not applicable below `needs` particles."""
     tol = default_tolerance(rep) if tol is None else tol
-    n = rep.n_particles
-    chains = [
-        [pair_exchange_op(model, i, -u, rep), pair_exchange_op(model, i, u, rep)]
-        for i in range(1, n)
-    ]
-    chains.append([wall_reflection_op(model, -u, rep), wall_reflection_op(model, u, rep)])
-    worst = float(np.max([_residual(ops, [], rep.dim) for ops in chains]))
-    return ResidualReport("unitarity", {"u": float(u)}, worst, tol)
+    if rep.n_particles < needs:
+        return ResidualReport(name, params, None, tol, applicable=False)
+    n = min(rep.n_particles, most)
+    if isinstance(rep, ScalarSector):
+        rep = ScalarSector(n, rep.eps_t, rep.eps_r)
+    elif isinstance(rep, RegularRep):
+        rep = regular_rep(n)
+
+    def y(i, x):
+        return pair_exchange_op(model, i, x, rep)
+
+    def z(x):
+        return wall_reflection_op(model, x, rep)
+
+    worst = float(np.max([_residual(lhs, rhs, rep.dim) for lhs, rhs in chains(y, z, n)]))
+    return ResidualReport(name, params, worst, tol)
+
+
+def check_unitarity(model: ModelSpec, rep, u: float, tol: float | None = None) -> ResidualReport:
+    """Y_i(-u) Y_i(u) = I (read at i = 1) and Z(-u) Z(u) = I."""
+
+    def chains(y, z, n):
+        if n >= 2:
+            yield [y(1, -u), y(1, u)], []
+        yield [z(-u), z(u)], []
+
+    return _evaluate("unitarity", {"u": float(u)}, 1, 2, model, rep, tol, chains)
 
 
 def check_commuting(model: ModelSpec, rep, u: float, v: float, tol: float | None = None) -> ResidualReport:
-    """Disjoint-slot exchanges commute; the wall commutes past slots > 1."""
-    tol = default_tolerance(rep) if tol is None else tol
-    n = rep.n_particles
-    if n < 3:
-        return ResidualReport(
-            "commuting", {"u": float(u), "v": float(v)}, None, tol,
-            applicable=False, note="needs at least 3 particles",
-        )
-    residuals = []
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            yi = pair_exchange_op(model, i, u, rep)
-            yj = pair_exchange_op(model, j, v, rep)
-            residuals.append(_residual([yi, yj], [yj, yi], rep.dim))
-    z = wall_reflection_op(model, u, rep)
-    for i in range(2, n):
-        yi = pair_exchange_op(model, i, v, rep)
-        residuals.append(_residual([z, yi], [yi, z], rep.dim))
-    worst = float(np.max(residuals))
-    return ResidualReport("commuting", {"u": float(u), "v": float(v)}, worst, tol)
+    """Disjoint-slot exchanges commute (read at Y_1, Y_3); the wall commutes
+    past slots > 1 (read at Y_2)."""
+
+    def chains(y, z, n):
+        if n >= 4:
+            yield [y(1, u), y(3, v)], [y(3, v), y(1, u)]
+        yield [z(u), y(2, v)], [y(2, v), z(u)]
+
+    return _evaluate("commuting", {"u": float(u), "v": float(v)}, 3, 4, model, rep, tol, chains)
 
 
 def check_braid(model: ModelSpec, rep, u: float, v: float, tol: float | None = None) -> ResidualReport:
-    tol = default_tolerance(rep) if tol is None else tol
-    n = rep.n_particles
-    if n < 3:
-        return ResidualReport(
-            "braid", {"u": float(u), "v": float(v)}, None, tol,
-            applicable=False, note="needs at least 3 particles",
-        )
-    residuals = []
-    for i in range(1, n - 1):
-        lhs = [
-            pair_exchange_op(model, i, v, rep),
-            pair_exchange_op(model, i + 1, u + v, rep),
-            pair_exchange_op(model, i, u, rep),
-        ]
-        rhs = [
-            pair_exchange_op(model, i + 1, u, rep),
-            pair_exchange_op(model, i, u + v, rep),
-            pair_exchange_op(model, i + 1, v, rep),
-        ]
-        residuals.append(_residual(lhs, rhs, rep.dim))
-    worst = float(np.max(residuals))
-    return ResidualReport("braid", {"u": float(u), "v": float(v)}, worst, tol)
+    """Y_i(v) Y_{i+1}(u+v) Y_i(u) = Y_{i+1}(u) Y_i(u+v) Y_{i+1}(v), read at i = 1."""
+
+    def chains(y, z, n):
+        yield [y(1, v), y(2, u + v), y(1, u)], [y(2, u), y(1, u + v), y(2, v)]
+
+    return _evaluate("braid", {"u": float(u), "v": float(v)}, 3, 3, model, rep, tol, chains)
 
 
 def check_reflection(model: ModelSpec, rep, u: float, v: float, tol: float | None = None) -> ResidualReport:
-    tol = default_tolerance(rep) if tol is None else tol
-    if rep.n_particles < 2:
-        return ResidualReport(
-            "reflection", {"u": float(u), "v": float(v)}, None, tol,
-            applicable=False, note="needs at least 2 particles",
-        )
-    lhs = [
-        wall_reflection_op(model, 2 * v, rep),
-        pair_exchange_op(model, 1, u + v, rep),
-        wall_reflection_op(model, 2 * u, rep),
-        pair_exchange_op(model, 1, u - v, rep),
-    ]
-    rhs = [
-        pair_exchange_op(model, 1, u - v, rep),
-        wall_reflection_op(model, 2 * u, rep),
-        pair_exchange_op(model, 1, u + v, rep),
-        wall_reflection_op(model, 2 * v, rep),
-    ]
-    residual = _residual(lhs, rhs, rep.dim)
-    return ResidualReport("reflection", {"u": float(u), "v": float(v)}, residual, tol)
+    """Z(2v) Y_1(u+v) Z(2u) Y_1(u-v) = Y_1(u-v) Z(2u) Y_1(u+v) Z(2v)."""
+
+    def chains(y, z, n):
+        yield ([z(2 * v), y(1, u + v), z(2 * u), y(1, u - v)],
+               [y(1, u - v), z(2 * u), y(1, u + v), z(2 * v)])
+
+    return _evaluate("reflection", {"u": float(u), "v": float(v)}, 2, 2, model, rep, tol, chains)
 
 
 def coefficient_relations(model: ModelSpec, u: float, v: float, tol: float = TOL_REGULAR) -> list[ResidualReport]:
@@ -253,7 +242,7 @@ def expected_outcome(model: ModelSpec, rep, relation: str) -> str:
     """
     faithful = isinstance(rep, RegularRep)
     if model.kind == "pdp":
-        if relation in ("braid",) and faithful:
+        if relation == "braid" and faithful:
             return EXPECT_FAIL
         if relation == "reflection" and faithful:
             return REPORT_ONLY

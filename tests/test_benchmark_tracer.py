@@ -5,7 +5,8 @@ removed name makes `Tracer.install` fail, and a layer that no longer calls
 another leaves a per-layer metric without a span, which fails a traced
 benchmark run.  One traced sector-build job and one short probe round (the
 census of a traced run) must give the spans the half-line and evaluation
-metrics are read from.
+metrics are read from, and one N=4 regular consistency job those of the
+consistency metrics.
 """
 
 import importlib
@@ -55,3 +56,27 @@ def test_tracer_spans_the_sector_job_and_a_probe_round():
                    "wavefunction.wedge_data_ms", "wavefunction.evaluate_psi_us",
                    "wavefunction.wedge_hit_ratio"):
         assert values[metric] is not None and np.isfinite(values[metric]), metric
+
+
+def test_tracer_spans_a_regular_consistency_job():
+    tracer = tracing.Tracer()
+    loop = workloads.JobLoop(tracer)
+    checks = stats.Checks()
+    tracer.install()
+    try:
+        workloads.consistency_job(SEED, 0, loop, checks)
+    finally:
+        tracer.uninstall()
+    assert not checks.failures
+
+    spans = tracer.spans()
+    for rel in ("unitarity", "commuting", "braid", "reflection"):
+        assert spans.mask(f"consistency.check_{rel}").any(), rel
+    assert spans.mask("consistency.apply_chain").any()
+    assert spans.mask("consistency.coefficient_relations").any()
+
+    values = tracing._layer_values(spans, len(loop.raw_latencies))
+    for metric in ("consistency.unitarity_ms", "consistency.commuting_ms",
+                   "consistency.braid_ms", "consistency.reflection_ms",
+                   "consistency.coefficient_relations_us", "consistency.basis_columns"):
+        assert values[metric] is not None, metric

@@ -250,6 +250,9 @@ def test_out_files_are_byte_identical_across_runs(tmp_path, capsys):
         "verify eigen --h 0",
         "verify eigen --h 1e-300",
         "scatter --c inf",
+        *(f"{sub} --tol {tol}"
+          for sub in ("consistency", "verify boundary", "verify duality", "verify eigen")
+          for tol in ("nan", "inf", "-1")),
         # runs that would check nothing
         "consistency --samples 0",
         "consistency --samples -3",

@@ -21,7 +21,8 @@ GOLDEN = Path(__file__).parent / "golden"
 FLOAT_TOL = 1e-12
 
 # (golden file, exit code, argv): the README commands, then paths the runner
-# takes for the witness document, CSV, other sectors and representations.
+# takes for the witness document, CSV, other sectors and representations,
+# and regular consistency reports at N = 4 and 5.
 CASES = [
     ("consistency_pdp_regular.json", 0,
      "consistency --model pdp --rep regular --N 3 --samples 200 --seed 0"),
@@ -42,6 +43,10 @@ CASES = [
     ("scatter_pdp_json.json", 0,
      "scatter --model pdp --parity odd --k 1 --lambda 0.5 --format json"),
     ("build_pdp_n4_mm.csv", 0, "build --model pdp --N 4 --sector mm --format csv"),
+    ("consistency_delta_regular_n5.json", 0,
+     "consistency --model delta --rep regular --N 5 --samples 50 --seed 3"),
+    ("consistency_pdp_regular_n4.json", 0,
+     "consistency --model pdp --rep regular --N 4 --samples 50 --seed 1"),
 ]
 
 

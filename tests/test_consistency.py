@@ -272,6 +272,31 @@ def test_one_column_residual_equals_dense_residual(model, n):
             assert report.residual == pytest.approx(dense, rel=1e-12, abs=1e-15), relation
 
 
+def every_slot_residual(relation, model, rep, u, v):
+    """The residual walked the long way: every slot of every relation
+    instance, on the e_I column of the full-N representation."""
+    e_identity = np.zeros(rep.dim, dtype=complex)
+    e_identity[0] = 1.0
+    return float(np.max([
+        np.max(np.abs(apply_chain(lhs, e_identity) - apply_chain(rhs, e_identity)))
+        for lhs, rhs in dense_chains(relation, model, rep, u, v)
+    ]))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("model", [DELTA, PDP], ids=["delta", "pdp"])
+def test_local_residual_equals_every_slot_residual(model, n):
+    # each relation lives in a rank <= 2 parabolic subgroup, so reading it
+    # once on the fewest particles its letters need gives the same bits
+    rng = np.random.default_rng(200 + n)
+    samples = rng.uniform(-5.0, 5.0, size=(4, 2))
+    for rep in all_reps(n):
+        for u, v in samples:
+            for relation, check in CHECKS.items():
+                want = every_slot_residual(relation, model, rep, u, v)
+                assert check(model, rep, u, v).residual == want, (rep.label, relation)
+
+
 def test_pdp_braid_residual_is_unchanged_by_the_one_column_check():
     report = check_braid(PDP, regular_rep(3), 1.0, 1.0)
     assert report.residual == pytest.approx(0.670820393249937, abs=1e-15)
