@@ -26,9 +26,11 @@ one-sided condition selected by eps_r:
 `check_halfline_reduction` evaluates the N origin points of one table (x_j
 slid to 0, for each j) in one batch without wedge data: the phase of A_P
 factors over the slots of the sorted frame, exp(i <k_P, z>) = prod_m
-exp(i ks[codes[P, m]] z_m) with ks = (k, -k).  A point then costs 2N(N-1)
-complex exponentials and about two products per group element, where
-evaluate_psi takes one exponential per group element.
+exp(i ks[codes[P, m]] z_m) with ks = (k, -k).  Every frame slot holds one
+of the N sorted coordinates, so all N points together cost 2N^2 complex
+exponentials, and the points share the partial sums of the slots on which
+their frames agree; evaluate_psi takes one exponential per group element
+and point.
 
 `boundary_sweep` checks these conditions at random facet points of random
 wedges and judges the worst residual.  Finally, the boson delta table at
@@ -163,23 +165,34 @@ def _origin_values(coeffs: BetheCoefficients, x: np.ndarray) -> tuple[np.ndarray
     1.  enumerate_group lists the 2^n sign patterns of each permutation
     together, slot 0 slowest, so the sum over P runs per permutation as
     nested sums over the sign of each slot, the last slot first.
+
+    With xs = sorted x, slot s of the frame of rank r (the rank of the
+    zeroed coordinate) holds xs[s - 1] for s <= r and xs[s] for s > r.
+    Summed from the last slot down to slot s, every rank below s has met
+    the same factors, so those ranks share one row of partial sums; at
+    slot s rank s leaves the shared row and takes xs[s - 1] like the
+    ranks above it.  Each rank gets the multiply-adds it would get alone.
     """
     n = x.size
     k = coeffs.momenta.array
     order = np.argsort(x)
-    m = np.arange(n - 1)
-    # row r: slots 1.. of the frame of the point whose zeroed coordinate has rank r
-    rest = x[order][m + (m >= np.arange(n)[:, None])]
-    waves = np.exp(1j * (rest[:, :, None] * np.concatenate([k, -k])))  # (rank, slot - 1, code)
+    waves = np.exp(1j * (x[order][:, None] * np.concatenate([k, -k])))  # (rank, code)
     heads = coeffs.group.codes[:: 2**n]  # codes of each permutation with signs all +1
     perms = len(heads)
-    terms = np.ascontiguousarray(coeffs.table[:, 0].reshape(perms, -1).T)[None]  # (1, signs, perm)
+    codes = heads.T[:, None] + np.array([[0], [n]])  # (slot, sign of the slot, perm)
+    # (row, signs, perm): the row shared by the ranks below the slot, then
+    # one row per higher rank in rank order
+    terms = np.ascontiguousarray(coeffs.table[:, 0].reshape(perms, -1).T)[None]
     for slot in range(n - 1, 0, -1):
-        factors = np.take(waves[:, slot - 1], heads[:, slot] + [[0], [n]], axis=1)
+        # the shared row takes xs[slot], a copy of it as rank `slot` and
+        # every higher rank take xs[slot - 1]
         pair = terms.reshape(len(terms), -1, 2, perms)
-        terms = pair[:, :, 0] * factors[:, None, 0] + pair[:, :, 1] * factors[:, None, 1]
-    # slot-0 sign +1 and -1, (rank, perm); adding them first makes the sum
-    # of an odd wall sector cancel exactly
+        products = np.empty((len(pair) + 1, *pair.shape[1:]), dtype=complex)
+        np.multiply(pair[0], waves[slot][codes[slot]], out=products[0])
+        np.multiply(pair, waves[slot - 1][codes[slot]], out=products[1:])
+        terms = products.sum(axis=2)
+    # rank by rank, slot-0 sign +1 and -1, (rank, perm); adding them first
+    # makes the sum of an odd wall sector cancel exactly
     plus, minus = terms[:, 0], terms[:, 1]
     values, slopes = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
     values[order] = (plus + minus).sum(axis=1)

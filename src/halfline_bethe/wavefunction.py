@@ -17,14 +17,16 @@ build evaluates one operator factor per transfer and then follows the
 group's fixed breadth-first walk (WeylGroup.walk_plan): level by level, each
 element is its tree parent's coefficient times the factor of the tree edge.
 Every other Cayley edge (WalkPlan.checks) is a cross-check of the stored
-values, in a sector all of them in one pass once the table is filled; a
-disagreement beyond tolerance, or one that is not finite, means the
-operator family is inconsistent and raises InconsistencyError with the two
-generator words of the first such edge in walk order as witness.
+values, in a sector all of them once the table is filled, in blocks of
+CHECK_BLOCK edges that keep every temporary small; a disagreement beyond
+tolerance, or one that is not finite, means the operator family is
+inconsistent and raises InconsistencyError with the two generator words of
+the first such edge in walk order as witness.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -53,6 +55,11 @@ from .weyl_group import (
 
 MOMENTUM_SEPARATION = 1e-12
 CROSSCHECK_TOL = 1e-12
+# Edges per block of a sector cross-check.  Its complex temporaries are then
+# 32 KiB, below glibc's default 128 KiB mmap threshold, so they come from
+# heap the process already holds; all 15,361 edges at N=5 at once would make
+# 245 KiB arrays that are mapped and handed back to the kernel on every build.
+CHECK_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -186,11 +193,16 @@ def _root_factors(model: ModelSpec, rep, k: np.ndarray) -> tuple[np.ndarray, np.
 
 def _walk_sector(plan, column, diag):
     """Fill a one-dimensional table level by level; return the residual of
-    every cross-check edge (plan.checks)."""
+    every cross-check edge (plan.checks), CHECK_BLOCK edges at a time."""
     for tree, _ in plan.levels:
         column[tree.dst] = diag[tree.root] * column[tree.src]
     checks = plan.checks
-    return np.abs(diag[checks.root] * column[checks.src] - column[checks.dst])
+    residuals = np.empty(checks.src.size)
+    for start in range(0, residuals.size, CHECK_BLOCK):
+        block = slice(start, start + CHECK_BLOCK)
+        np.abs(diag[checks.root[block]] * column[checks.src[block]]
+               - column[checks.dst[block]], out=residuals[block])
+    return residuals
 
 
 def _walk_regular(plan, table, diag, off, tol):
@@ -231,7 +243,10 @@ def compute_coefficients(
     first such edge in walk order.  For the pdp model this succeeds only in
     scalar sectors; in the regular representation the recursion is
     contradictory and raises for any initial vector in general position.
+    A `crosscheck_tol` that is not finite and >= 0 raises InputError.
     """
+    if not (math.isfinite(crosscheck_tol) and crosscheck_tol >= 0):
+        raise InputError(f"crosscheck_tol must be finite and >= 0: {crosscheck_tol}")
     momenta = momenta if isinstance(momenta, Momenta) else Momenta(tuple(momenta))
     if rep.n_particles != momenta.n:
         raise ValueError(

@@ -3,6 +3,7 @@ and the strong-weak duality between the two models."""
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -230,6 +231,73 @@ def test_halfline_batch_matches_per_point_evaluation(n, model):
             residuals = check_halfline_reduction(coeffs, x)
             want = origin_residuals(model, eps_r, want_values, want_slopes)
             assert np.max(np.abs(np.array(residuals) - want)) <= tol
+
+
+def all_ranks_origin_values(coeffs, x):
+    """_origin_values with one row of partial sums per rank from the start:
+    each rank's frame is gathered whole, 2N(N-1) exponentials per point
+    (the contraction before the ranks shared their suffix sums)."""
+    n = x.size
+    k = coeffs.momenta.array
+    order = np.argsort(x)
+    m = np.arange(n - 1)
+    rest = x[order][m + (m >= np.arange(n)[:, None])]  # (rank, slot - 1)
+    waves = np.exp(1j * (rest[:, :, None] * np.concatenate([k, -k])))
+    heads = coeffs.group.codes[:: 2**n]
+    perms = len(heads)
+    terms = np.ascontiguousarray(coeffs.table[:, 0].reshape(perms, -1).T)[None]
+    for slot in range(n - 1, 0, -1):
+        factors = np.take(waves[:, slot - 1], heads[:, slot] + [[0], [n]], axis=1)
+        pair = terms.reshape(len(terms), -1, 2, perms)
+        terms = pair[:, :, 0] * factors[:, None, 0] + pair[:, :, 1] * factors[:, None, 1]
+    plus, minus = terms[:, 0], terms[:, 1]
+    values, slopes = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+    values[order] = (plus + minus).sum(axis=1)
+    slopes[order] = 1j * ((plus - minus) * k[heads[:, 0]]).sum(axis=1)
+    return values, slopes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("model", [DELTA, PDP], ids=["delta", "pdp"])
+def test_halfline_shared_suffix_sums_are_the_all_ranks_contraction(n, model):
+    # each rank gets the same multiply-adds in the same order, so the values
+    # agree bit for bit (bytes also tell -0.0 from 0.0)
+    rng = np.random.default_rng(70 + n)
+    for eps_t, eps_r in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        coeffs = compute_coefficients(ORIGIN_MOMENTA[n], model, ScalarSector(n, eps_t, eps_r))
+        for shuffled in (False, True):
+            x = np.cumsum(0.3 + rng.uniform(0.2, 1.0, size=n))
+            if shuffled:
+                x = rng.permutation(x)
+            got = boundary._origin_values(coeffs, x)
+            want = all_ranks_origin_values(coeffs, x)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+                assert a.tobytes() == b.tobytes()
+
+
+def traced_peak(fn, *args):
+    """Bytes tracemalloc sees allocated at the peak of one call, above its start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_n5_sector_job_stays_in_small_temporaries():
+    # a temporary above glibc's 128 KiB mmap threshold is mapped and handed
+    # back to the kernel on every call; a one-pass cross-check and one row
+    # of partial sums per rank peaked at 785 and 625 KiB, the blocked
+    # check and the shared rows near 281 and 283 KiB
+    momenta, rep = ORIGIN_MOMENTA[5], ScalarSector(5, 1, -1)
+    coeffs = compute_coefficients(momenta, DELTA, rep)  # builds the walk plan once
+    x = np.array([0.9, 2.1, 0.4, 3.3, 1.7])
+    check_halfline_reduction(coeffs, x)
+    assert traced_peak(compute_coefficients, momenta, DELTA, rep) <= 384 * 1024
+    assert traced_peak(check_halfline_reduction, coeffs, x) <= 384 * 1024
 
 
 def test_halfline_reduction_sees_a_wrong_wall_coupling():

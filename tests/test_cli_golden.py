@@ -22,7 +22,7 @@ FLOAT_TOL = 1e-12
 
 # (golden file, exit code, argv): the README commands, then paths the runner
 # takes for the witness document, CSV, other sectors and representations,
-# and regular consistency reports at N = 4 and 5.
+# regular consistency reports at N = 4 and 5, and an N = 5 sector sweep.
 CASES = [
     ("consistency_pdp_regular.json", 0,
      "consistency --model pdp --rep regular --N 3 --samples 200 --seed 0"),
@@ -47,6 +47,8 @@ CASES = [
      "consistency --model delta --rep regular --N 5 --samples 50 --seed 3"),
     ("consistency_pdp_regular_n4.json", 0,
      "consistency --model pdp --rep regular --N 4 --samples 50 --seed 1"),
+    ("verify_boundary_delta_n5_pm.json", 0,
+     "verify boundary --model delta --N 5 --sector +- --probes 20 --seed 4"),
 ]
 
 

@@ -21,6 +21,7 @@ from halfline_bethe import (
 )
 from halfline_bethe import wavefunction
 from halfline_bethe.wavefunction import coefficient_along_word
+from halfline_bethe.weyl_group import generator_letters
 
 DELTA = ModelSpec("delta", 1.0, 2.0)
 PDP = ModelSpec("pdp", 1.0, 0.5)
@@ -108,6 +109,66 @@ def test_non_finite_crosscheck_residual_fails_the_build(monkeypatch):
         with pytest.raises(InconsistencyError) as info:
             compute_coefficients(K2, DELTA, rep)
         assert np.isnan(info.value.residual)
+
+
+@pytest.mark.parametrize("fault", ["nan", "relative"])
+def test_witness_past_the_first_check_block_is_the_first_failing_edge(monkeypatch, fault):
+    # a fault on a root that only cross-checks use, first used beyond the
+    # first block, must be reported at the edge a one-pass check of every
+    # edge finds first in walk order
+    group = weyl_group(5)
+    plan, checks = group.walk_plan, group.walk_plan.checks
+    tree_roots = np.concatenate([tree.root for tree, _ in plan.levels])
+    first_use = {int(r): int(np.flatnonzero(checks.root == r)[0])
+                 for r in np.setdiff1d(checks.root, tree_roots)}
+    root = max(first_use, key=first_use.get)
+    assert first_use[root] >= wavefunction.CHECK_BLOCK
+    rep = ScalarSector(5, -1, 1)
+    # the tree edges never meet the fault, so the faulty build fills this table
+    column = compute_coefficients(K5, PDP, rep).table[:, 0]
+    real = wavefunction._root_factors
+
+    def faulty(*args):
+        diag, off = real(*args)
+        diag[root] = np.nan if fault == "nan" else diag[root] * (1 + 1e-6)
+        return diag, off
+
+    diag, _ = faulty(PDP, rep, K5.array)
+    diffs = np.abs(diag[checks.root] * column[checks.src] - column[checks.dst])
+    e = np.flatnonzero(~(diffs <= wavefunction.CROSSCHECK_TOL))[0]
+    assert e >= wavefunction.CHECK_BLOCK
+
+    monkeypatch.setattr(wavefunction, "_root_factors", faulty)
+    with pytest.raises(InconsistencyError) as info:
+        compute_coefficients(K5, PDP, rep)
+    err = info.value
+    assert err.element == group.elements[checks.dst[e]]
+    assert err.existing_word == plan.words[checks.dst[e]]
+    assert err.new_word == plan.words[checks.src[e]] + (generator_letters(5)[checks.letter[e]],)
+    if fault == "nan":
+        assert np.isnan(err.residual)
+    else:
+        assert err.residual == diffs[e] > 1e-7
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-300])
+def test_crosscheck_tol_must_be_finite_and_non_negative(tol):
+    # a NaN or negative tolerance would fail every edge and witness a
+    # consistent model as inconsistent; an infinite one would certify nothing
+    for rep in (ScalarSector(2, 1, 1), regular_rep(2)):
+        with pytest.raises(InputError, match="crosscheck_tol"):
+            compute_coefficients(K2, DELTA, rep, crosscheck_tol=tol)
+
+
+def test_zero_crosscheck_tol_is_accepted():
+    # the delta wall factor of an odd wall sector is exactly -1, so that
+    # table passes at zero; the even one rounds, and its residual fails
+    k = Momenta((1.3,))
+    odd = compute_coefficients(k, DELTA, ScalarSector(1, 1, -1), crosscheck_tol=0.0)
+    assert odd.max_crosscheck == 0.0
+    with pytest.raises(InconsistencyError) as info:
+        compute_coefficients(k, DELTA, ScalarSector(1, 1, 1), crosscheck_tol=0.0)
+    assert 0.0 < info.value.residual < 1e-15
 
 
 def test_delta_regular_crosschecks_are_tiny():
