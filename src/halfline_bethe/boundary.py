@@ -33,14 +33,20 @@ their frames agree; evaluate_psi takes one exponential per group element
 and point.
 
 `boundary_sweep` checks these conditions at random facet points of random
-wedges and judges the worst residual.  Finally, the boson delta table at
-couplings (c1, c2) equals the fermion pdp table at (1/c1, 1/c2), and the two
+wedges and judges the worst residual.  The boson delta table at couplings
+(c1, c2) equals the fermion pdp table at (1/c1, 1/c2), and the two
 wavefunctions agree pointwise on the fundamental wedge; `duality_compare`
-measures both statements.
+measures both statements.  Finally, inside every wedge psi solves the free
+eigen equation -Laplacian psi = E psi with E = sum_j k_j^2; `check_eigen`
+tests it with a central-difference stencil.  The facet probes need
+gradients and take them from evaluate_psi; duality and the stencil need
+values only, and evaluate all their points in one wedge with one lookup of
+its wedge data, bit for bit as evaluate_psi would.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -53,6 +59,7 @@ from .representations import ScalarSector
 from .wavefunction import (
     BetheCoefficients,
     Momenta,
+    _psi_values,
     compute_coefficients,
     evaluate_psi,
 )
@@ -300,40 +307,64 @@ class EigenCheck:
         return bool(self.relative <= tol)
 
 
+@functools.cache
+def _stencil_steps(n: int) -> np.ndarray:
+    """Row 0 zero, rows 2m+1 and 2m+2 the unit vector e_m and -e_m."""
+    steps = np.zeros((2 * n + 1, n))
+    steps[1::2] = np.eye(n)
+    steps[2::2] = -np.eye(n)
+    steps.flags.writeable = False
+    return steps
+
+
 def check_eigen(coeffs: BetheCoefficients, x, h: float) -> EigenCheck:
     """Central-difference Laplacian residual |sum_m d2psi/dx_m^2 + E psi|.
 
-    The full stencil must stay inside one wedge; crossing a facet (where
-    the expansion changes) raises GeometryError.  A step whose square is
-    not a positive normal float (the stencil divides by it) raises InputError.
+    The stencil is the centre and the centre moved by +h and -h along each
+    coordinate, 2N+1 points, all evaluated in the centre's wedge by one
+    values-only pass (no gradients) that gives evaluate_psi's values bit
+    for bit.  A point in the open wedge Q is one whose frame
+    Q.signs * x[Q.perm] is strictly increasing and positive, so all 2N
+    moved points are tested against the centre's wedge at once.  The full
+    stencil must stay inside it: a moved point on a facet raises
+    BoundaryPointError, one in another wedge GeometryError (the first such
+    point, coordinate by coordinate, +h before -h).  A step whose square is
+    not a positive normal float (the stencil divides by it) or a point that
+    is not finite raises InputError, a point of the wrong shape ValueError.
+    `relative` is the residual over E |psi|: NaN when the residual is NaN,
+    inf when psi is exactly 0 and the residual is not NaN.
     """
     x = np.asarray(x, dtype=float)
     if not (math.isfinite(h) and h > 0 and sys.float_info.min <= h * h < math.inf):
         raise InputError("step h must be finite and positive, with h*h a normal float")
+    n = coeffs.momenta.n
+    if x.shape != (n,):
+        raise ValueError(f"point must have shape ({n},)")
+    if not np.all(np.isfinite(x)):
+        raise InputError("point must have finite coordinates")
     wedge = classify_wedge(x)
-    centre = evaluate_psi(coeffs, x, wedge=wedge)
+    # x + h * 0 is x and x + h * -1 is x - h, exactly
+    stencil = x + h * _stencil_steps(n)
+    frames = stencil[1:, list(wedge.perm)] * wedge.signs
+    inside = (frames[:, 0] > 0) & (frames[:, 1:] > frames[:, :-1]).all(axis=1)
+    if not inside.all():
+        first = int(np.argmin(inside))
+        classify_wedge(stencil[1 + first])  # raises if the point is on a facet
+        raise GeometryError(
+            f"stencil at step {h} leaves the wedge along coordinate {first // 2}"
+        )
+    centre, *moved = _psi_values(coeffs, wedge, stencil)
     laplacian = 0j
-    for m in range(x.size):
-        offset = np.zeros_like(x)
-        offset[m] = h
-        for shifted in (x + offset, x - offset):
-            if classify_wedge(shifted) != wedge:
-                raise GeometryError(
-                    f"stencil at step {h} leaves the wedge along coordinate {m}"
-                )
-        up = evaluate_psi(coeffs, x + offset, wedge=wedge)
-        down = evaluate_psi(coeffs, x - offset, wedge=wedge)
-        laplacian += (up.value - 2.0 * centre.value + down.value) / h**2
+    for up, down in zip(moved[::2], moved[1::2]):
+        laplacian += (up - 2.0 * centre + down) / h**2
     total_energy = coeffs.momenta.energy
-    residual = abs(laplacian + total_energy * centre.value)
-    scale = total_energy * abs(centre.value)
-    return EigenCheck(
-        float(h),
-        float(residual),
-        float(residual / scale) if scale > 0 else float("inf"),
-        total_energy,
-        centre.value,
-    )
+    residual = abs(laplacian + total_energy * centre)
+    scale = total_energy * abs(centre)
+    if math.isnan(residual):
+        relative = math.nan
+    else:
+        relative = residual / scale if scale > 0 else math.inf
+    return EigenCheck(float(h), float(residual), float(relative), total_energy, centre)
 
 
 @dataclass(frozen=True)
@@ -351,8 +382,10 @@ def duality_compare(momenta, c1: float, c2: float, points) -> DualityReport:
 
     Compares the coefficient tables entrywise and the wavefunctions at the
     given fundamental-wedge points (coordinates strictly increasing and
-    positive; anything else raises GeometryError).  An empty point list or
-    a coordinate that is not finite raises InputError.
+    positive; anything else raises GeometryError, and a point of the wrong
+    shape ValueError, the first bad point first).  An empty point list or
+    a coordinate that is not finite raises InputError.  Every point is
+    checked before any is evaluated.
     """
     points = [np.asarray(point, dtype=float) for point in points]
     if not points:
@@ -372,14 +405,14 @@ def duality_compare(momenta, c1: float, c2: float, points) -> DualityReport:
         ScalarSector(n, -1, -1),
     )
     table_diff = float(np.max(np.abs(boson.table - fermion.table)))
-    identity = SignedPermutation.identity(n)
-    point_diffs = []
     for point in points:
         if np.any(point <= 0) or np.any(np.diff(point) <= 0):
             raise GeometryError(
                 "duality points must have strictly increasing positive coordinates"
             )
-        a = evaluate_psi(boson, point, wedge=identity)
-        b = evaluate_psi(fermion, point, wedge=identity)
-        point_diffs.append(abs(a.value - b.value))
+        if point.shape != (n,):
+            raise ValueError(f"point must have shape ({n},)")
+    identity = SignedPermutation.identity(n)
+    point_diffs = [abs(a - b) for a, b in zip(_psi_values(boson, identity, points),
+                                              _psi_values(fermion, identity, points))]
     return DualityReport(table_diff, float(np.max(point_diffs)), len(points))

@@ -7,7 +7,9 @@ mean: 0 all expectations met (including failures that are the correct
 outcome, like the pdp braid violation), 1 a scientific expectation was
 violated, 2 bad usage.
 
-Structured reports are JSON; sweep tables are comma-delimited text.  With
+Structured reports are strict JSON: a NaN or infinite number is written as
+null, and the document then lists the JSON Pointer of each such number in
+"non_finite".  Sweep tables are comma-delimited text.  With
 --out the document goes to that path (relative names resolve against
 $HALFLINE_BETHE_OUTDIR if set), otherwise to stdout.
 
@@ -85,6 +87,21 @@ def _scalar(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _finite_json(obj, pointer: str, non_finite: list):
+    """obj with every NaN or infinite number replaced by None, appending
+    the JSON Pointer (RFC 6901; no key needs escaping) of each to non_finite."""
+    if isinstance(obj, dict):
+        return {key: _finite_json(value, f"{pointer}/{key}", non_finite)
+                for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(value, f"{pointer}/{i}", non_finite)
+                for i, value in enumerate(obj)]
+    if isinstance(obj, (float, np.floating)) and not np.isfinite(obj):
+        non_finite.append(pointer)
+        return None
+    return obj
+
+
 def _echo_line(config: dict) -> str:
     return " ".join(f"{key}={value}" for key, value in sorted(config.items()))
 
@@ -122,7 +139,11 @@ class _Run:
     def document(self, body: dict) -> str:
         doc = {"schema_version": SCHEMA_VERSION, "command": self.command,
                "config": self.config, **body}
-        return json.dumps(doc, indent=2, sort_keys=True, default=_scalar)
+        non_finite = []
+        doc = _finite_json(doc, "", non_finite)
+        if non_finite:
+            doc["non_finite"] = non_finite
+        return json.dumps(doc, indent=2, sort_keys=True, default=_scalar, allow_nan=False)
 
 
 def _prepare(args) -> _Run:

@@ -412,3 +412,15 @@ def evaluate_psi(
     value = complex(np.sum(weighted))
     gradient = 1j * (carried.T @ weighted)
     return WavefunctionSample(tuple(float(c) for c in x), wedge, value, gradient)
+
+
+def _psi_values(
+    coeffs: BetheCoefficients, wedge: SignedPermutation, points
+) -> list[complex]:
+    """psi at each point (float arrays of shape (n,), unchecked) in the
+    expansion of `wedge`: evaluate_psi's value bit for bit, without its
+    gradient, sample or classification.  Each point is its own
+    matrix-vector product: a stacked product rounds differently, and its
+    temporaries would outgrow the 128 KiB mmap threshold at N=5."""
+    carried, avec = coeffs.wedge_data(wedge)
+    return [complex(np.sum(avec * np.exp(1j * (carried @ p)))) for p in points]

@@ -11,6 +11,7 @@ import pytest
 
 from halfline_bethe import boundary
 from halfline_bethe import (
+    BoundaryPointError,
     BoundarySweep,
     GeometryError,
     InputError,
@@ -23,6 +24,7 @@ from halfline_bethe import (
     check_halfline_reduction,
     check_pair_boundary,
     check_wall_boundary,
+    classify_wedge,
     compute_coefficients,
     duality_compare,
     evaluate_psi,
@@ -337,6 +339,124 @@ def test_eigen_stencil_must_stay_inside_wedge():
             check_eigen(coeffs, [0.8, 2.1], h)
 
 
+def stencil_by_points(coeffs, x, h):
+    """check_eigen as one classification and one evaluate_psi per stencil
+    point, coordinate by coordinate, +h before -h."""
+    x = np.asarray(x, dtype=float)
+    wedge = classify_wedge(x)
+    centre = evaluate_psi(coeffs, x, wedge=wedge).value
+    laplacian = 0j
+    for m in range(x.size):
+        offset = np.zeros_like(x)
+        offset[m] = h
+        for shifted in (x + offset, x - offset):
+            if classify_wedge(shifted) != wedge:
+                raise GeometryError(f"stencil at step {h} leaves the wedge along coordinate {m}")
+        up = evaluate_psi(coeffs, x + offset, wedge=wedge).value
+        down = evaluate_psi(coeffs, x - offset, wedge=wedge).value
+        laplacian += (up - 2.0 * centre + down) / h**2
+    energy = coeffs.momenta.energy
+    residual = abs(laplacian + energy * centre)
+    scale = energy * abs(centre)
+    return boundary.EigenCheck(
+        float(h), float(residual), float(residual / scale) if scale > 0 else math.inf,
+        energy, centre)
+
+
+def outcome(fn, *args):
+    """repr of the result (exact for floats), or the exception's type and message."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def eigen_cases():
+    rng = np.random.default_rng(41)
+    for n in range(1, 6):
+        reps = [ScalarSector(n, *signs) for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+        if n <= 4:
+            reps.append(regular_rep(n))
+        for model in (DELTA, PDP):
+            for rep in reps:
+                if model is PDP and not isinstance(rep, ScalarSector) and n > 1:
+                    continue  # the pdp regular recursion is inconsistent
+                k = tuple(np.sort(rng.uniform(0.5, 0.5 + n, size=n)))
+                yield n, rng, compute_coefficients(k, model, rep)
+
+
+def test_eigen_stencil_is_the_per_point_stencil_bit_for_bit():
+    particles = set()
+    raised = evaluated = 0
+    for n, rng, coeffs in eigen_cases():
+        group = weyl_group(n)
+        for _ in range(2 if n == 5 else 4):
+            wedge = group.elements[int(rng.integers(group.order))]
+            frame = np.cumsum(0.05 + rng.uniform(0.0, 1.0, size=n))
+            x = np.empty(n)
+            x[list(wedge.perm)] = np.array(wedge.signs) * frame
+            for h in (1e-4, 1e-3, 0.3, 2.0):
+                want = outcome(stencil_by_points, coeffs, x, h)
+                assert outcome(check_eigen, coeffs, x, h) == want
+                raised += isinstance(want, tuple)
+                evaluated += not isinstance(want, tuple)
+        particles.add(n)
+    assert particles == {1, 2, 3, 4, 5}
+    assert raised > 20 and evaluated > 100
+
+
+def test_eigen_stencil_leaving_the_wedge():
+    coeffs = compute_coefficients(K3, DELTA, ScalarSector(3, 1, -1))
+    # +h along coordinate 1 crosses the facet |x_1| = |x_2| into the next wedge
+    with pytest.raises(GeometryError, match=r"^stencil at step 0\.25 leaves the wedge "
+                                            r"along coordinate 1$"):
+        check_eigen(coeffs, [0.5, 2.0, 2.2], 0.25)
+    # -h along coordinate 0 crosses the wall; in another wedge's frame too
+    with pytest.raises(GeometryError, match="along coordinate 0$"):
+        check_eigen(coeffs, [0.2, -2.0, 1.1], 0.25)
+    # a stencil point exactly on a facet has no wedge at all
+    with pytest.raises(BoundaryPointError, match="equal magnitude"):
+        check_eigen(coeffs, [0.5, 1.0, 2.5], 0.5)
+    with pytest.raises(BoundaryPointError, match="exactly zero"):
+        check_eigen(coeffs, [0.25, 1.0, 2.5], 0.25)
+
+
+def test_eigen_rejects_points_it_cannot_classify():
+    coeffs = compute_coefficients(K3, DELTA, ScalarSector(3, 1, 1))
+    for bad in ([0.5, 1.0], [0.5, 1.0, 2.0, 3.0], [[0.5, 1.0, 2.0]], 1.0):
+        with pytest.raises(ValueError, match=r"shape \(3,\)"):
+            check_eigen(coeffs, bad, 1e-4)
+    for bad in ([0.5, float("nan"), 2.0], [0.5, 1.0, float("inf")], [-float("inf"), 1.0, 2.0]):
+        with pytest.raises(InputError, match="finite"):
+            check_eigen(coeffs, bad, 1e-4)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_eigen_relative_residual_is_nan_honest():
+    coeffs = compute_coefficients(K3, DELTA, ScalarSector(3, 1, 1))
+    # finite, but the phases k * x overflow, so psi and the residual are NaN
+    result = check_eigen(coeffs, [0.5, 1.0, 1e308], 1e-4)
+    assert math.isnan(result.residual) and math.isnan(result.relative)
+    assert not result.within()
+    # psi exactly 0 with a finite residual is the one infinite ratio
+    zero = dataclasses.replace(coeffs, table=np.zeros_like(coeffs.table), _wedge_cache={})
+    result = check_eigen(zero, [0.5, 1.0, 2.0], 1e-4)
+    assert result.residual == 0.0 and result.relative == math.inf
+    assert not result.within()
+
+
+def test_n5_eigen_stencil_stays_in_small_temporaries():
+    # one values-only pass per point; with gradients and samples the
+    # parent stencil peaked near 425 KiB, all 11 points as one block near
+    # 1,443 KiB (above glibc's 128 KiB mmap threshold per temporary)
+    momenta = ORIGIN_MOMENTA[5]
+    coeffs = compute_coefficients(momenta, PDP, ScalarSector(5, -1, 1))
+    x = np.array([0.9, -2.1, 0.4, 3.3, 1.7])
+    check_eigen(coeffs, x, 1e-4)  # warm: the wedge data is cached
+    assert traced_peak(check_eigen, coeffs, x, 1e-4) <= 256 * 1024
+
+
 @pytest.mark.parametrize("c1,c2", [(1.0, 2.0), (0.3, 1.7)])
 def test_duality_tables_and_points(c1, c2):
     rng = np.random.default_rng(21)
@@ -364,6 +484,29 @@ def test_duality_nan_point_difference_is_not_dropped():
         report = duality_compare(K2, 1.0, 2.0, points)
         assert math.isnan(report.max_point_diff)
         assert not report.within()
+
+
+def test_duality_points_are_the_per_point_values_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for momenta in (K2, K3, Momenta(ORIGIN_MOMENTA[5])):
+        n = momenta.n
+        points = [np.cumsum(0.1 + rng.uniform(0.0, 1.0, size=n)) for _ in range(6)]
+        report = duality_compare(momenta, 0.7, 1.3, points)
+        boson = compute_coefficients(momenta, ModelSpec("delta", 0.7, 1.3), ScalarSector(n, 1, 1))
+        fermion = compute_coefficients(momenta, ModelSpec("pdp", 1 / 0.7, 1 / 1.3),
+                                       ScalarSector(n, -1, -1))
+        identity = SignedPermutation.identity(n)
+        want = max(abs(evaluate_psi(boson, p, wedge=identity).value
+                       - evaluate_psi(fermion, p, wedge=identity).value) for p in points)
+        assert repr(report.max_point_diff) == repr(want)
+
+
+def test_duality_reports_the_first_bad_point():
+    good, short, unordered = [0.5, 1.0], [0.5, 1.0, 1.5], [2.0, 1.0]
+    with pytest.raises(ValueError, match=r"shape \(2,\)"):
+        duality_compare(K2, 1.0, 2.0, [good, short, unordered])
+    with pytest.raises(GeometryError):
+        duality_compare(K2, 1.0, 2.0, [good, unordered, short])
 
 
 def test_duality_rejects_non_finite_points():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from halfline_bethe import cli
+from halfline_bethe.boundary import BoundarySweep, EigenCheck
 from halfline_bethe.cli import main
 from halfline_bethe.errors import BoundaryPointError
 
@@ -150,6 +151,40 @@ def test_verify_eigen(capsys):
     assert code == 0
     assert doc["ok"] is True
     assert doc["relative_residual"] < 1e-6
+
+
+def strict_json(text):
+    """Parse as RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_non_finite_results_print_as_null_with_their_pointers(capsys, monkeypatch):
+    def eigen(*args):
+        return EigenCheck(1e-4, float("nan"), float("inf"), 4.2, 0j)
+
+    monkeypatch.setattr(cli, "check_eigen", eigen)
+    code, out = run(capsys, "verify", "eigen", "--N", "2")
+    doc = strict_json(out)
+    assert code == 1 and doc["ok"] is False
+    assert doc["residual"] is None and doc["relative_residual"] is None
+    assert doc["energy"] == 4.2
+    assert doc["non_finite"] == ["/residual", "/relative_residual"]
+
+    def sweep(*args):
+        rows = ({"kind": "pair", "residual_match": 1e-12, "residual_jump": float("-inf")},
+                {"kind": "wall", "residual_match": float("nan"), "residual_jump": 0.0})
+        return BoundarySweep(rows, float("nan"), 0)
+
+    monkeypatch.setattr(cli, "boundary_sweep", sweep)
+    code, out = run(capsys, "verify", "boundary", "--N", "2")
+    doc = strict_json(out)
+    assert code == 1 and doc["max_residual"] is None
+    assert doc["rows"][0] == {"kind": "pair", "residual_match": 1e-12, "residual_jump": None}
+    assert doc["non_finite"] == ["/max_residual", "/rows/0/residual_jump",
+                                 "/rows/1/residual_match"]
 
 
 def test_scatter_csv(capsys):
